@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
@@ -255,51 +256,53 @@ func (c *Control) budgetItems() ([]budget.Item, map[string]map[string]features.S
 			notes = append(notes, fmt.Sprintf("node %s: device %s publishes an empty front table", node, snap.device))
 			continue
 		}
-		weights := mixWeights(snap.mix)
-		uniform := len(weights) == 0
 		type slot struct {
 			feat   features.Static
 			name   string
 			weight float64
 		}
 		var slots []slot
-		if uniform {
+		var matched float64
+		for f, m := range snap.mix {
+			e, ok := tbl.byFeat[f]
+			if !ok {
+				notes = append(notes, fmt.Sprintf("node %s: observed kernel %q has no published front; excluded from the plan",
+					node, m.kernel))
+				continue
+			}
+			name := m.kernel
+			if name == "" {
+				name = e.name
+			}
+			slots = append(slots, slot{feat: f, name: name, weight: m.count})
+			matched += m.count
+		}
+		if matched > 0 {
+			// Normalize over the matched kernels so the node still weighs
+			// 1.0 at default clocks. Counts are integer-valued, so their sum
+			// is exact in any (map) order and every replan of the same mix
+			// yields bit-identical weights.
+			for i := range slots {
+				slots[i].weight /= matched
+			}
+		} else {
+			if len(snap.mix) > 0 {
+				notes = append(notes, fmt.Sprintf("node %s: no observed kernel has a published front; using the uniform mix", node))
+			}
 			w := 1 / float64(len(tbl.byFeat))
 			for f, e := range tbl.byFeat {
 				slots = append(slots, slot{feat: f, name: e.name, weight: w})
 			}
-		} else {
-			var matched float64
-			for f, w := range weights {
-				e, ok := tbl.byFeat[f]
-				if !ok {
-					notes = append(notes, fmt.Sprintf("node %s: observed kernel %q has no published front; excluded from the plan",
-						node, snap.mix[f].kernel))
-					continue
-				}
-				name := snap.mix[f].kernel
-				if name == "" {
-					name = e.name
-				}
-				slots = append(slots, slot{feat: f, name: name, weight: w})
-				matched += w
-			}
-			if matched <= 0 {
-				notes = append(notes, fmt.Sprintf("node %s: no observed kernel has a published front; using the uniform mix", node))
-				w := 1 / float64(len(tbl.byFeat))
-				for f, e := range tbl.byFeat {
-					slots = append(slots, slot{feat: f, name: e.name, weight: w})
-				}
-			} else {
-				// Renormalize over the matched kernels so the node still
-				// weighs 1.0 at default clocks.
-				for i := range slots {
-					slots[i].weight /= matched
-				}
-			}
 		}
 		// Kernel labels must be unique within a node; identical names on
-		// distinct feature vectors get a positional suffix.
+		// distinct feature vectors get a positional suffix, assigned in
+		// (name, features) order so labels do not depend on map order.
+		sort.Slice(slots, func(i, j int) bool {
+			if slots[i].name != slots[j].name {
+				return slots[i].name < slots[j].name
+			}
+			return lessStatic(slots[i].feat, slots[j].feat)
+		})
 		used := map[string]int{}
 		nodeLabels := map[string]features.Static{}
 		for _, s := range slots {
@@ -327,6 +330,16 @@ func (c *Control) budgetItems() ([]budget.Item, map[string]map[string]features.S
 type frontEntryRef struct {
 	name   string
 	pareto []core.Prediction
+}
+
+// lessStatic orders feature vectors lexicographically.
+func lessStatic(a, b features.Static) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }
 
 // Replan solves the fleet allocation over the current observed mixes and
@@ -545,18 +558,9 @@ func (c *Control) BudgetStatus() BudgetStatusResponse {
 		}
 		resp.Nodes = append(resp.Nodes, st)
 	}
-	sortBudgetNodes(resp.Nodes)
+	sort.Slice(resp.Nodes, func(i, j int) bool { return resp.Nodes[i].Node < resp.Nodes[j].Node })
 	resp.Stale = c.bud.plan != nil && resp.MixShiftThreshold >= 0 && resp.MaxMixShift >= resp.MixShiftThreshold
 	return resp
-}
-
-// sortBudgetNodes orders node statuses by node id for deterministic output.
-func sortBudgetNodes(nodes []BudgetNodeStatus) {
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && nodes[j].Node < nodes[j-1].Node; j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-		}
-	}
 }
 
 // HandleBudget is /fleet/budget on the control plane: GET returns the

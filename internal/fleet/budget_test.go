@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,10 +23,16 @@ import (
 // models) and activates it.
 func publishFronted(t *testing.T, c *Control, device string) registry.Manifest {
 	t.Helper()
+	return publishFrontedN(t, c, device, 2)
+}
+
+// publishFrontedN is publishFronted over the first n training kernels.
+func publishFrontedN(t *testing.T, c *Control, device string, n int) registry.Manifest {
+	t.Helper()
 	eng := newEngineFor(t, device)
 	models := constModels(t, 1, 1)
 	pred := engine.NewPredictor(models, eng.Harness().Device().Sim().Ladder, eng.Options())
-	fronts := registry.ComputeFronts(pred, engine.TrainingKernels()[:2])
+	fronts := registry.ComputeFronts(pred, engine.TrainingKernels()[:n])
 	man, err := c.Store().SaveWithFronts(device, "", models, registry.Training{}, fronts)
 	if err != nil {
 		t.Fatal(err)
@@ -285,6 +292,60 @@ func TestBudgetPushDeliversToAgent(t *testing.T) {
 	unknown[0] = 12345
 	if _, ok := agent.DecisionFor(unknown); ok {
 		t.Fatal("agent resolved a kernel that is not in the table")
+	}
+}
+
+// TestReplanIsBitReproducible: replanning an unchanged problem cuts
+// byte-identical tables, so the repeated push rounds find no stale node.
+// The mix has seven kernels at unequal counts, whose normalized weights
+// would differ in their last bit if summed in map order.
+func TestReplanIsBitReproducible(t *testing.T) {
+	c := newControl(t, constModels(t, 1, 1), adapt.Config{})
+	const kernels = 7
+	publishFrontedN(t, c, "titanx", kernels)
+	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		doc, _ := io.ReadAll(r.Body)
+		tbl, err := budget.DecodeTable(doc)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusConflict)
+			return
+		}
+		writeWire(w, http.StatusOK, DecisionsResponse{Node: tbl.Node, Device: tbl.Device, Hash: tbl.Hash, Entries: len(tbl.Entries), Installed: true})
+	}))
+	defer sink.Close()
+	if _, err := c.Register(RegisterRequest{Node: "n1", Device: "titanx", Addr: sink.URL}); err != nil {
+		t.Fatal(err)
+	}
+	var obs []adapt.Observation
+	for i := 0; i < kernels; i++ {
+		for n := 0; n <= i; n++ {
+			obs = append(obs, trainObs(i, 1, 1))
+		}
+	}
+	forward(t, c, "n1", "titanx", obs...)
+
+	st, err := c.SetBudget(context.Background(), budget.Budget{Total: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LastPush == nil || st.LastPush.Targets != 1 || st.LastPush.Pushed != 1 {
+		t.Fatalf("first push round: %+v", st.LastPush)
+	}
+	hash := st.Nodes[0].Hash
+	if hash == "" || st.Nodes[0].Entries < 2 {
+		t.Fatalf("first plan: %+v", st.Nodes[0])
+	}
+	for rep := 0; rep < 10; rep++ {
+		st, err := c.Replan(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Nodes[0].Hash != hash {
+			t.Fatalf("replan %d: table hash %.12s, first plan %.12s", rep, st.Nodes[0].Hash, hash)
+		}
+		if st.LastPush.Targets != 0 {
+			t.Fatalf("replan %d re-pushed an unchanged table: %+v", rep, st.LastPush)
+		}
 	}
 }
 

@@ -230,3 +230,82 @@ func TestFrontsTamperRejected(t *testing.T) {
 		})
 	})
 }
+
+// TestFrontLoadersVerifyOnce pins the integrity contract of the two front
+// loaders now that the fronts section is decoded once per load: LoadFronts
+// and LoadFull each reject every class of corruption with ErrCorrupt, and
+// both return nil fronts without error for a pre-fronts snapshot.
+func TestFrontLoadersVerifyOnce(t *testing.T) {
+	eng, models := trainSmall(t)
+	pred := engine.NewPredictor(models, eng.Harness().Device().Sim().Ladder, eng.Options())
+	fronts := ComputeFronts(pred, engine.TrainingKernels()[:4])
+	store, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.SaveWithFronts("titanx", "", models, Training{SettingsPerKernel: 3}, fronts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := store.mem["titanx"][man.Version]
+
+	loaders := map[string]func() error{
+		"LoadFronts": func() error { _, err := store.LoadFronts("titanx", man.Version); return err },
+		"LoadFull":   func() error { _, _, _, err := store.LoadFull("titanx", man.Version); return err },
+	}
+	for name, mutate := range map[string]func(sf *snapshotFile){
+		"tampered fronts section": func(sf *snapshotFile) {
+			sf.Fronts = json.RawMessage(strings.Replace(string(sf.Fronts), `"speedup":`, `"speedup":1e9,"was":`, 1))
+		},
+		"fronts hash mismatch": func(sf *snapshotFile) {
+			sf.Manifest.Fronts.Hash = strings.Repeat("0", len(sf.Manifest.Fronts.Hash))
+		},
+		"kernel-count mismatch": func(sf *snapshotFile) {
+			sf.Manifest.Fronts.Kernels++
+		},
+		"tampered models hash": func(sf *snapshotFile) {
+			sf.Manifest.Hash = strings.Repeat("f", len(sf.Manifest.Hash))
+		},
+		"rehashed but malformed fronts": func(sf *snapshotFile) {
+			sf.Fronts = json.RawMessage(`{"kernels":4}`)
+			hash, err := hashRaw(sf.Fronts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sf.Manifest.Fronts.Hash = hash
+		},
+	} {
+		var sf snapshotFile
+		if err := json.Unmarshal(pristine, &sf); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&sf)
+		doc, err := json.Marshal(sf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.mem["titanx"][man.Version] = doc
+		for loader, load := range loaders {
+			if err := load(); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: %s: err = %v, want ErrCorrupt", name, loader, err)
+			}
+		}
+	}
+
+	store.mem["titanx"][man.Version] = pristine
+	for loader, load := range loaders {
+		if err := load(); err != nil {
+			t.Fatalf("pristine snapshot: %s: %v", loader, err)
+		}
+	}
+	plain, err := store.Save("titanx", "", models, Training{SettingsPerKernel: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := store.LoadFronts("titanx", plain.Version); f != nil || err != nil {
+		t.Fatalf("LoadFronts on a pre-fronts snapshot = %v, %v; want nil, nil", f, err)
+	}
+	if m, f, _, err := store.LoadFull("titanx", plain.Version); m == nil || f != nil || err != nil {
+		t.Fatalf("LoadFull on a pre-fronts snapshot = %v, %v, %v; want models, nil, nil", m, f, err)
+	}
+}

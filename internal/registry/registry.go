@@ -491,30 +491,33 @@ func (s *Store) readDoc(device, version string) ([]byte, error) {
 	return doc, err
 }
 
-// decode parses and integrity-checks a snapshot document.
-func decode(device, version string, doc []byte) (snapshotFile, error) {
+// decode parses and integrity-checks a snapshot document and returns it
+// with the front table it verified (nil for pre-fronts snapshots), so no
+// caller decodes the fronts section twice.
+func decode(device, version string, doc []byte) (snapshotFile, *Fronts, error) {
 	var sf snapshotFile
 	if err := json.Unmarshal(doc, &sf); err != nil {
-		return sf, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, version, err)
+		return sf, nil, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, version, err)
 	}
 	if sf.Manifest.Version != version {
-		return sf, fmt.Errorf("%w: %s/%s: manifest claims version %q", ErrCorrupt, device, version, sf.Manifest.Version)
+		return sf, nil, fmt.Errorf("%w: %s/%s: manifest claims version %q", ErrCorrupt, device, version, sf.Manifest.Version)
 	}
 	if len(sf.Models) == 0 {
-		return sf, fmt.Errorf("%w: %s/%s: snapshot has no models", ErrCorrupt, device, version)
+		return sf, nil, fmt.Errorf("%w: %s/%s: snapshot has no models", ErrCorrupt, device, version)
 	}
 	hash, err := hashRaw(sf.Models)
 	if err != nil {
-		return sf, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, version, err)
+		return sf, nil, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, version, err)
 	}
 	if hash != sf.Manifest.Hash {
-		return sf, fmt.Errorf("%w: %s/%s: content hash mismatch (manifest %.8s…, computed %.8s…)",
+		return sf, nil, fmt.Errorf("%w: %s/%s: content hash mismatch (manifest %.8s…, computed %.8s…)",
 			ErrCorrupt, device, version, sf.Manifest.Hash, hash)
 	}
-	if _, err := decodeFronts(device, version, sf.Fronts, sf.Manifest.Fronts); err != nil {
-		return sf, err
+	fronts, err := decodeFronts(device, version, sf.Fronts, sf.Manifest.Fronts)
+	if err != nil {
+		return sf, nil, err
 	}
-	return sf, nil
+	return sf, fronts, nil
 }
 
 // Load reads, integrity-checks, and deserializes the snapshot for
@@ -543,7 +546,7 @@ func (s *Store) LoadFull(device, version string) (*core.Models, *Fronts, Manifes
 	if err != nil {
 		return nil, nil, Manifest{}, err
 	}
-	sf, err := decode(device, version, doc)
+	sf, fronts, err := decode(device, version, doc)
 	if err != nil {
 		return nil, nil, Manifest{}, err
 	}
@@ -554,10 +557,6 @@ func (s *Store) LoadFull(device, version string) (*core.Models, *Fronts, Manifes
 	m, err := core.Load(bytes.NewReader(sf.Models))
 	if err != nil {
 		return nil, nil, Manifest{}, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, version, err)
-	}
-	fronts, err := decodeFronts(device, version, sf.Fronts, sf.Manifest.Fronts)
-	if err != nil {
-		return nil, nil, Manifest{}, err
 	}
 	return m, fronts, sf.Manifest, nil
 }
@@ -578,11 +577,8 @@ func (s *Store) LoadFronts(device, version string) (*Fronts, error) {
 	if err != nil {
 		return nil, err
 	}
-	sf, err := decode(device, version, doc)
-	if err != nil {
-		return nil, err
-	}
-	return decodeFronts(device, version, sf.Fronts, sf.Manifest.Fronts)
+	_, fronts, err := decode(device, version, doc)
+	return fronts, err
 }
 
 // GetManifest reads and integrity-checks one snapshot's manifest. Verified
@@ -613,7 +609,7 @@ func (s *Store) GetManifest(device, version string) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, err
 	}
-	sf, err := decode(device, version, doc)
+	sf, _, err := decode(device, version, doc)
 	if err != nil {
 		return Manifest{}, err
 	}

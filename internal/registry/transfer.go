@@ -49,7 +49,7 @@ func (s *Store) ExportDoc(device, version string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := decode(device, version, doc); err != nil {
+	if _, _, err := decode(device, version, doc); err != nil {
 		return nil, err
 	}
 	return doc, nil
@@ -77,7 +77,7 @@ func (s *Store) ImportDoc(doc []byte) (Manifest, error) {
 	if !versionRe.MatchString(man.Version) {
 		return Manifest{}, fmt.Errorf("%w: bad version id %q", ErrCorrupt, man.Version)
 	}
-	if _, err := decode(man.Device, man.Version, doc); err != nil {
+	if _, _, err := decode(man.Device, man.Version, doc); err != nil {
 		return Manifest{}, err
 	}
 	if !man.Schema.Equal(CurrentSchema()) {
