@@ -431,8 +431,9 @@ func BenchmarkEngineTrain(b *testing.B) {
 }
 
 // BenchmarkEnginePredictBatch measures batch Pareto prediction over the
-// twelve test benchmarks: cold (empty cache each iteration) vs warm (the
-// steady state of a serving process, where every vector hits the LRU).
+// twelve test benchmarks: every iteration runs the full SVR ladder sweep
+// for each kernel (the engine memoizes nothing; repeated kernels are the
+// policy governor's business).
 func BenchmarkEnginePredictBatch(b *testing.B) {
 	eng := engine.NewDefault(engineBenchOptions(0))
 	if _, err := eng.Train(context.Background(), engine.TrainingKernels()); err != nil {
@@ -441,33 +442,15 @@ func BenchmarkEnginePredictBatch(b *testing.B) {
 	models := eng.Models()
 	ladder := eng.Harness().Device().Sim().Ladder
 	sts := bench.AllFeatures()
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := engine.NewPredictor(models, ladder, engine.Options{CacheSize: -1})
-			sets, err := p.PredictBatch(context.Background(), sts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(sets) != len(sts) {
-				b.Fatal("short batch")
-			}
-		}
-	})
-
-	b.Run("warm", func(b *testing.B) {
-		p := engine.NewPredictor(models, ladder, engine.Options{})
-		if _, err := p.PredictBatch(context.Background(), sts); err != nil {
+	p := engine.NewPredictor(models, ladder, engine.Options{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sets, err := p.PredictBatch(context.Background(), sts)
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.PredictBatch(context.Background(), sts); err != nil {
-				b.Fatal(err)
-			}
+		if len(sets) != len(sts) {
+			b.Fatal("short batch")
 		}
-		b.StopTimer()
-		s := p.Stats()
-		b.ReportMetric(float64(s.Hits)/float64(s.Hits+s.Misses), "hit-rate")
-	})
+	}
 }

@@ -156,7 +156,7 @@ func BenchmarkPredictCeiling(b *testing.B) {
 	dir, _ := paperSnapshot(b)
 	s := benchServerDir(b, dir)
 	kernels := benchKernels(32)
-	// Warm the prediction cache so the ceiling measures the steady state.
+	// Warm the front memo so the ceiling measures the steady state.
 	for _, k := range kernels {
 		rec := httptest.NewRecorder()
 		s.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict",

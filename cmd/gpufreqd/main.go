@@ -623,14 +623,16 @@ func readJSON(r *http.Request, v any, allowEmpty bool) error {
 }
 
 type healthResponse struct {
-	Status        string             `json:"status"`
-	Device        string             `json:"device"`
-	Trained       bool               `json:"trained"`
-	ModelVersion  string             `json:"model_version,omitempty"`
-	Registry      string             `json:"registry"`
-	UptimeSeconds float64            `json:"uptime_seconds"`
-	Workers       int                `json:"workers"`
-	Cache         *engine.CacheStats `json:"cache,omitempty"`
+	Status        string  `json:"status"`
+	Device        string  `json:"device"`
+	Trained       bool    `json:"trained"`
+	ModelVersion  string  `json:"model_version,omitempty"`
+	Registry      string  `json:"registry"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Workers       int     `json:"workers"`
+	// Cache is the serving governor's accounting: decision cache, front
+	// table and sweep LRU (absent before any model is active).
+	Cache *policy.Stats `json:"cache,omitempty"`
 	// Planes reports per-plane admission control: concurrency limits and
 	// requests shed since boot.
 	Planes planesInfo `json:"planes"`
@@ -669,10 +671,10 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		st := s.agent.Status()
 		resp.Fleet = &st
 	}
-	if version, pred, _, ok := s.serving.Current(); ok {
+	if version, _, gov, ok := s.serving.Current(); ok {
 		resp.Trained = true
 		resp.ModelVersion = version
-		st := pred.Stats()
+		st := gov.Stats()
 		resp.Cache = &st
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -1003,9 +1005,11 @@ type predictResult struct {
 }
 
 type predictResponse struct {
-	ModelVersion string            `json:"model_version"`
-	Results      []predictResult   `json:"results"`
-	Cache        engine.CacheStats `json:"cache"`
+	ModelVersion string          `json:"model_version"`
+	Results      []predictResult `json:"results"`
+	// Cache is the serving governor's accounting; each predicted kernel
+	// advances exactly one of front_hits, sweep_hits or sweep_misses.
+	Cache policy.Stats `json:"cache"`
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -1026,37 +1030,31 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no kernels in request")
 		return
 	}
-	version, p, _, ok := s.serving.Current()
+	version, _, gov, ok := s.serving.Current()
 	if !ok {
 		writeError(w, http.StatusServiceUnavailable,
 			"no active model version (POST /train, or activate a stored version)")
 		return
 	}
 
+	// Each kernel resolves through the governor's front memo, exactly as
+	// /select does: the publish-time front table, then the sweep LRU, then
+	// a live parallel ladder sweep.
 	results := make([]predictResult, len(kernels))
-	batch := make([]int, 0, len(kernels)) // indices with valid features
-	sts := make([]features.Static, 0, len(kernels))
 	for i, k := range kernels {
+		if err := r.Context().Err(); err != nil {
+			writeError(w, http.StatusInternalServerError, "predict: %v", err)
+			return
+		}
 		results[i].Kernel = k.Kernel
 		st, err := features.ExtractSource(k.Source, k.Kernel)
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
 		}
-		batch = append(batch, i)
-		sts = append(sts, st)
+		results[i].Pareto = gov.ParetoSet(st)
 	}
-	if len(batch) > 0 {
-		sets, err := p.PredictBatch(r.Context(), sts)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "predict: %v", err)
-			return
-		}
-		for j, i := range batch {
-			results[i].Pareto = sets[j]
-		}
-	}
-	writeJSON(w, http.StatusOK, predictResponse{ModelVersion: version, Results: results, Cache: p.Stats()})
+	writeJSON(w, http.StatusOK, predictResponse{ModelVersion: version, Results: results, Cache: gov.Stats()})
 }
 
 type selectRequest struct {
@@ -1080,8 +1078,8 @@ type selectResponse struct {
 	Policy       policy.Spec    `json:"policy"`
 	ModelVersion string         `json:"model_version"`
 	Results      []selectResult `json:"results"`
-	// Cache reports the governor's per-policy decision cache, not the
-	// engine's SVR cache (that one is on /healthz and /predict).
+	// Cache reports the serving governor's accounting, the same object
+	// /healthz and /predict report.
 	Cache policy.Stats `json:"cache"`
 }
 

@@ -167,7 +167,8 @@ func TestTrainPredictHealthzCycle(t *testing.T) {
 		t.Fatalf("solver stats do not match installed models: %+v", man)
 	}
 
-	// Batch predict: two kernels, one of them twice so the cache hits.
+	// Batch predict: two kernels, one of them twice so the second copy
+	// reuses the first one's memoized sweep.
 	body := `{"kernels": [
 		{"source": ` + jsonStr(saxpy) + `, "kernel": "saxpy"},
 		{"source": ` + jsonStr(saxpy) + `, "kernel": "saxpy"},
@@ -196,8 +197,8 @@ func TestTrainPredictHealthzCycle(t *testing.T) {
 	if last := pr.Results[0].Pareto[len(pr.Results[0].Pareto)-1]; !last.MemLHeuristic {
 		t.Fatalf("last prediction is not the mem-L heuristic: %+v", last)
 	}
-	if pr.Cache.Hits == 0 {
-		t.Fatalf("duplicate kernel produced no cache hits: %+v", pr.Cache)
+	if pr.Cache.SweepMisses != 1 || pr.Cache.SweepHits != 1 {
+		t.Fatalf("duplicate kernel did not reuse its sweep: %+v", pr.Cache)
 	}
 
 	// Health now reports the trained model, its version, and cache counters.
@@ -205,7 +206,7 @@ func TestTrainPredictHealthzCycle(t *testing.T) {
 	if err := json.Unmarshal(get(t, s, "/healthz").Body.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Trained || h.ModelVersion != me.Version || h.Cache == nil || h.Cache.Entries == 0 {
+	if !h.Trained || h.ModelVersion != me.Version || h.Cache == nil || h.Cache.SweepMisses == 0 {
 		t.Fatalf("health after training: %+v", h)
 	}
 }
@@ -399,7 +400,7 @@ func TestModelLifecycle(t *testing.T) {
 		t.Fatalf("active flags wrong: %+v", mr.Models)
 	}
 	old := byVersion[v1.Version]
-	if old.Stats == nil || old.Stats.Live || old.Stats.Predictor.Misses == 0 {
+	if old.Stats == nil || old.Stats.Live || old.Stats.Decisions.SweepMisses == 0 {
 		t.Fatalf("v1 stats dropped on swap: %+v", old.Stats)
 	}
 

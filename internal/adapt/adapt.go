@@ -375,7 +375,7 @@ func (c *Controller) Observe(o Observation) (IngestResult, error) {
 	c.sinceRetrain++
 	c.mu.Unlock()
 
-	res := IngestResult{Stored: true, Drift: c.detect(pred, c.obs.tail(c.cfg.Window))}
+	res := IngestResult{Stored: true, Drift: c.detect(pred)}
 	if !c.cfg.Auto {
 		return res, nil
 	}
@@ -704,7 +704,7 @@ func (c *Controller) Status() Status {
 	}
 	if pred, version, ok := c.deps.Current(); ok {
 		st.ModelVersion = version
-		st.Drift = c.detect(pred, c.obs.tail(c.cfg.Window))
+		st.Drift = c.detect(pred)
 	}
 	return st
 }

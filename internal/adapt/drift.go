@@ -47,37 +47,57 @@ func Residuals(pred *engine.Predictor, obs []Observation) (speedup, energy float
 	}
 	var ss, se float64
 	for _, o := range obs {
-		p := pred.PredictConfig(o.Features, o.Config)
-		ds := p.Speedup - o.Speedup
-		de := p.NormEnergy - o.NormEnergy
+		ds, de := obsError(pred, o)
 		ss += ds * ds
 		se += de * de
 	}
-	n := float64(len(obs))
-	return math.Sqrt(ss / n), math.Sqrt(se / n)
+	return rmse(ss, se, len(obs))
 }
 
-// detect runs the drift rule: with at least MinSamples observations in the
-// window, drift is signalled when either objective's rolling RMSE exceeds
-// DriftFactor times its training-time baseline. The comparison is strict,
-// so a rolling error exactly at the threshold does not trigger.
-func (c *Controller) detect(pred *engine.Predictor, window []Observation) DriftStatus {
+// obsError is one observation's signed prediction error per objective,
+// predicted minus measured. Residuals and the drift window's per-slot memo
+// (store.residuals) both use it, so they agree bit for bit.
+func obsError(pred *engine.Predictor, o Observation) (ds, de float64) {
+	p := pred.PredictConfig(o.Features, o.Config)
+	return p.Speedup - o.Speedup, p.NormEnergy - o.NormEnergy
+}
+
+// rmse turns per-objective sums of squared errors over n observations into
+// fractional RMSEs.
+func rmse(ss, se float64, n int) (speedup, energy float64) {
+	return math.Sqrt(ss / float64(n)), math.Sqrt(se / float64(n))
+}
+
+// detect runs the drift rule over the newest Window observations: with at
+// least MinSamples of them, drift is signalled when either objective's
+// rolling RMSE exceeds DriftFactor times its training-time baseline. The
+// comparison is strict, so a rolling error exactly at the threshold does
+// not trigger. The rolling RMSEs equal Residuals(pred, window) exactly;
+// the store memoizes each observation's error per predictor.
+func (c *Controller) detect(pred *engine.Predictor) DriftStatus {
+	return c.judge(c.obs.residuals(pred, c.cfg.Window))
+}
+
+// judge applies the drift rule to a window's sample count and rolling
+// per-objective RMSEs.
+func (c *Controller) judge(samples int, rmseS, rmseE float64) DriftStatus {
 	baseS, baseE := c.baselines()
 	st := DriftStatus{
-		Samples:          len(window),
+		Samples:          samples,
 		Window:           c.cfg.Window,
+		SpeedupRMSE:      rmseS,
+		EnergyRMSE:       rmseE,
 		BaselineSpeedup:  baseS,
 		BaselineEnergy:   baseE,
 		ThresholdSpeedup: c.cfg.DriftFactor * baseS,
 		ThresholdEnergy:  c.cfg.DriftFactor * baseE,
 	}
-	if len(window) == 0 {
+	if samples == 0 {
 		st.Reason = "no observations"
 		return st
 	}
-	st.SpeedupRMSE, st.EnergyRMSE = Residuals(pred, window)
-	if len(window) < c.cfg.MinSamples {
-		st.Reason = fmt.Sprintf("below min-samples (%d < %d)", len(window), c.cfg.MinSamples)
+	if samples < c.cfg.MinSamples {
+		st.Reason = fmt.Sprintf("below min-samples (%d < %d)", samples, c.cfg.MinSamples)
 		return st
 	}
 	switch {

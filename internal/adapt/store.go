@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/features"
 	"repro/internal/freq"
 )
@@ -89,33 +90,55 @@ type StoreStats struct {
 
 // store is a bounded ring buffer of observations: ingestion is O(1), the
 // bound evicts the oldest sample, and snapshots copy out in arrival order.
+// A parallel ring memoizes each observation's prediction error, so the
+// drift window costs one prediction per ingest, not one per window slot.
 type store struct {
 	mu      sync.Mutex
 	buf     []Observation
-	start   int // index of the oldest observation
+	errs    []obsErr // errs[i] memoizes buf[i]'s prediction error
+	start   int      // index of the oldest observation
 	count   int
 	total   int
 	dropped int
 	nodes   map[string]int // held observations per reporting node
+
+	// errPred is the predictor the memoized errors were last computed
+	// against and errGen its generation. Only that one predictor is
+	// pinned, however many hot-swaps the held observations have seen.
+	errPred *engine.Predictor
+	errGen  uint64
+}
+
+// obsErr is one slot's memoized signed prediction errors, current while gen
+// equals the store's errGen (gen 0 = never evaluated, as for a fresh or
+// WAL-restored observation).
+type obsErr struct {
+	gen    uint64
+	ds, de float64
 }
 
 func newStore(capacity int) *store {
-	return &store{buf: make([]Observation, capacity), nodes: map[string]int{}}
+	return &store{
+		buf:   make([]Observation, capacity),
+		errs:  make([]obsErr, capacity),
+		nodes: map[string]int{},
+	}
 }
 
 // add ingests one observation, evicting the oldest past the bound.
 func (s *store) add(o Observation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	i := (s.start + s.count) % len(s.buf)
 	if s.count == len(s.buf) {
-		s.nodeDelta(s.buf[s.start].Node, -1)
-		s.buf[s.start] = o
+		s.nodeDelta(s.buf[i].Node, -1)
 		s.start = (s.start + 1) % len(s.buf)
 		s.dropped++
 	} else {
-		s.buf[(s.start+s.count)%len(s.buf)] = o
 		s.count++
 	}
+	s.buf[i] = o
+	s.errs[i] = obsErr{}
 	s.nodeDelta(o.Node, 1)
 	s.total++
 }
@@ -143,6 +166,7 @@ func (s *store) restore(obs []Observation, total int) {
 		obs = obs[n-len(s.buf):]
 	}
 	copy(s.buf, obs)
+	clear(s.errs)
 	s.start = 0
 	s.count = len(obs)
 	s.total = total
@@ -176,6 +200,43 @@ func (s *store) tail(n int) []Observation {
 		out[i] = s.buf[(s.start+s.count-n+i)%len(s.buf)]
 	}
 	return out
+}
+
+// residuals returns the newest n observations' count and per-objective
+// RMSE against pred, bit-identical to Residuals(pred, tail(n)): each slot's
+// error is computed at most once per predictor (after a hot-swap, each
+// window slot is re-evaluated once) and the squares are summed in window
+// order, oldest first. Evaluation runs under the lock, so concurrent
+// callers never predict the same slot twice.
+func (s *store) residuals(pred *engine.Predictor, n int) (samples int, speedup, energy float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n > s.count {
+		n = s.count
+	}
+	if n == 0 {
+		return 0, 0, 0
+	}
+	if pred != s.errPred {
+		s.errPred = pred
+		s.errGen++
+	}
+	var ss, se float64
+	i := (s.start + s.count - n) % len(s.buf)
+	for k := 0; k < n; k++ {
+		e := &s.errs[i]
+		if e.gen != s.errGen {
+			e.ds, e.de = obsError(pred, s.buf[i])
+			e.gen = s.errGen
+		}
+		ss += e.ds * e.ds
+		se += e.de * e.de
+		if i++; i == len(s.buf) {
+			i = 0
+		}
+	}
+	speedup, energy = rmse(ss, se, n)
+	return n, speedup, energy
 }
 
 // stats snapshots the accounting counters.

@@ -376,8 +376,10 @@ func BenchmarkObsIngestMemOnly(b *testing.B) {
 }
 
 // BenchmarkObsWALAppend is the same ingest with the durable log attached
-// (inline write, background group-committed fsync). The PR 8 gate: must
-// stay <2× BenchmarkObsIngestMemOnly on the 1-vCPU CI runner.
+// (inline write, background group-committed fsync). The log write
+// dominates its cost: memory-only ingest predicts only the new
+// observation, so track this benchmark's absolute ns/op, not its ratio to
+// BenchmarkObsIngestMemOnly.
 func BenchmarkObsWALAppend(b *testing.B) {
 	w, err := OpenWAL(WALConfig{Dir: b.TempDir()})
 	if err != nil {

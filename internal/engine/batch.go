@@ -81,9 +81,8 @@ func (s *BatchScratch) ensure(nKernels, stride int) {
 // derivation. The result is index-aligned with sts and semantically
 // identical to calling ParetoSet per kernel (pinned by the engine tests).
 //
-// Unlike ParetoSet, this path bypasses the prediction LRU — a batch
-// recomputes its rows unconditionally — and every returned slice aliases
-// the scratch: results are valid only until the scratch is reused or
+// A batch recomputes its rows unconditionally, and every returned slice
+// aliases the scratch: results are valid only until the scratch is reused or
 // returned to the pool. Batches whose row count stays under the svm
 // parallel threshold (256) allocate nothing once the scratch has grown;
 // larger batches shard the model evaluation across GOMAXPROCS goroutines,

@@ -10,9 +10,10 @@
 //     state — run concurrently. Construction is context-aware, so an
 //     in-flight training run can be cancelled.
 //   - Prediction: a Predictor facade with batch prediction over many
-//     kernels, parallel evaluation of the frequency ladder, and an LRU
-//     cache keyed on the combined (static-features, configuration) model
-//     input vector so repeated kernels skip the SVR sweep entirely.
+//     kernels, parallel evaluation of the frequency ladder, and a columnar
+//     batch path (PredictFrontsInto). The engine caches no predictions:
+//     repeated kernels are served from the policy governor's per-kernel
+//     front memo (the publish-time front table plus its sweep LRU).
 //
 // Sharding is per training kernel on a fresh harness clone, which makes the
 // assembled training set deterministic and independent of the worker count
@@ -46,25 +47,17 @@ type Options struct {
 	// Core carries the training options through to the model layer
 	// (settings per kernel, SVR kernels, hyper-parameters).
 	Core core.Options
-	// CacheSize bounds the prediction cache in entries. 0 selects the
-	// default (8192); negative disables caching.
-	CacheSize int
 }
-
-const defaultCacheSize = 8192
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.CacheSize == 0 {
-		o.CacheSize = defaultCacheSize
-	}
 	return o
 }
 
 // Engine couples a measurement harness with (lazily trained) models and a
-// cached predictor. All methods are safe for concurrent use.
+// concurrent predictor. All methods are safe for concurrent use.
 type Engine struct {
 	harness *measure.Harness
 	opts    Options
@@ -277,7 +270,7 @@ func (e *Engine) Models() *core.Models {
 // Trained reports whether models are installed.
 func (e *Engine) Trained() bool { return e.Models() != nil }
 
-// Predictor returns the cached concurrent predictor over the active models.
+// Predictor returns the concurrent predictor over the active models.
 func (e *Engine) Predictor() (*Predictor, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

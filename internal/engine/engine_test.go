@@ -11,7 +11,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/clkernel"
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/gpu"
 )
 
@@ -81,69 +80,7 @@ func TestTrainAndPredictViaEngine(t *testing.T) {
 	}
 }
 
-func TestCacheAccounting(t *testing.T) {
-	e, kernels := testEngine(t, 4)
-	if _, err := e.Train(context.Background(), kernels); err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	p, err := e.Predictor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := bench.AllFeatures()[1]
-
-	p.ParetoSet(st)
-	s1 := p.Stats()
-	if s1.Hits != 0 {
-		// The mem-L heuristic vector is fresh too, so the first sweep is
-		// all misses.
-		t.Fatalf("first sweep: %d hits, want 0", s1.Hits)
-	}
-	if s1.Misses == 0 || s1.Entries == 0 {
-		t.Fatalf("first sweep recorded no misses/entries: %+v", s1)
-	}
-
-	p.ParetoSet(st)
-	s2 := p.Stats()
-	if s2.Misses != s1.Misses {
-		t.Fatalf("repeat sweep added misses: %d -> %d", s1.Misses, s2.Misses)
-	}
-	if s2.Hits != s1.Misses {
-		t.Fatalf("repeat sweep hits = %d, want %d (every vector cached)", s2.Hits, s1.Misses)
-	}
-
-	// A disabled cache must record misses only and hold no entries.
-	un := NewPredictor(e.Models(), p.Ladder(), Options{Workers: 2, CacheSize: -1})
-	un.ParetoSet(st)
-	un.ParetoSet(st)
-	su := un.Stats()
-	if su.Hits != 0 || su.Entries != 0 || su.Capacity != 0 {
-		t.Fatalf("disabled cache stats: %+v", su)
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	c := newPredCache(2)
-	k := func(i float64) features.Vector { var v features.Vector; v[0] = i; return v }
-	c.put(k(1), cacheVal{speedup: 1})
-	c.put(k(2), cacheVal{speedup: 2})
-	if _, ok := c.get(k(1)); !ok {
-		t.Fatal("key 1 missing before eviction")
-	}
-	// Key 2 is now LRU; inserting key 3 must evict it.
-	c.put(k(3), cacheVal{speedup: 3})
-	if _, ok := c.get(k(2)); ok {
-		t.Fatal("key 2 survived eviction")
-	}
-	if _, ok := c.get(k(1)); !ok {
-		t.Fatal("key 1 evicted despite recent use")
-	}
-	if c.len() != 2 {
-		t.Fatalf("cache len = %d, want 2", c.len())
-	}
-}
-
-// TestConcurrentPredictBatch exercises many goroutines sharing one cached
+// TestConcurrentPredictBatch exercises many goroutines sharing one
 // Predictor; run under -race it is the engine's concurrent-safety proof.
 func TestConcurrentPredictBatch(t *testing.T) {
 	e, kernels := testEngine(t, 4)
@@ -179,9 +116,6 @@ func TestConcurrentPredictBatch(t *testing.T) {
 		if !reflect.DeepEqual(results[c], want) {
 			t.Fatalf("caller %d diverged from reference batch", c)
 		}
-	}
-	if s := p.Stats(); s.Hits == 0 {
-		t.Fatalf("concurrent repeat batches recorded no cache hits: %+v", s)
 	}
 }
 

@@ -45,7 +45,7 @@ func ExampleEngine_Train() {
 }
 
 // ExamplePredictor_PredictBatch predicts many kernels in one call; results
-// are index-aligned and every SVR evaluation lands in the shared cache.
+// are index-aligned with the input.
 func ExamplePredictor_PredictBatch() {
 	eng := engine.NewDefault(engine.Options{
 		Workers: 2,
@@ -70,11 +70,9 @@ func ExamplePredictor_PredictBatch() {
 		fmt.Println("error:", err)
 		return
 	}
-	stats := pred.Stats()
-	fmt.Printf("kernels=%d all predicted=%v cache populated=%v\n",
-		len(sets), nonEmpty(sets), stats.Misses > 0)
+	fmt.Printf("kernels=%d all predicted=%v\n", len(sets), nonEmpty(sets))
 	// Output:
-	// kernels=3 all predicted=true cache populated=true
+	// kernels=3 all predicted=true
 }
 
 func nonEmpty(sets [][]core.Prediction) bool {

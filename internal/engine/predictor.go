@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/features"
@@ -12,13 +11,12 @@ import (
 
 // Predictor is the engine's concurrent prediction facade over a pair of
 // trained models: it mirrors core.Predictor's API, evaluates the frequency
-// ladder in parallel, batches whole kernel lists, and memoizes SVR
-// evaluations in an LRU cache shared by all callers. All methods are safe
-// for concurrent use.
+// ladder in parallel, and batches whole kernel lists. It memoizes nothing;
+// per-kernel Pareto sets are cached one layer up, in the policy governor.
+// All methods are safe for concurrent use.
 type Predictor struct {
 	inner   *core.Predictor
 	workers int
-	cache   *predCache // nil when caching is disabled
 
 	// Ladder-derived constants, computed once at construction so the hot
 	// paths never rebuild them: the modeled configuration list (all memory
@@ -27,20 +25,14 @@ type Predictor struct {
 	cfgs    []freq.Config
 	memLCfg freq.Config
 	hasMemL bool
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
-// NewPredictor builds a cached concurrent predictor.
+// NewPredictor builds a concurrent predictor.
 func NewPredictor(m *core.Models, ladder *freq.Ladder, opts Options) *Predictor {
 	opts = opts.withDefaults()
 	p := &Predictor{
 		inner:   core.NewPredictor(m, ladder),
 		workers: opts.Workers,
-	}
-	if opts.CacheSize > 0 {
-		p.cache = newPredCache(opts.CacheSize)
 	}
 	for _, mem := range p.inner.ModeledMems() {
 		for _, c := range p.inner.Ladder.CoreClocks(mem) {
@@ -51,51 +43,15 @@ func NewPredictor(m *core.Models, ladder *freq.Ladder, opts Options) *Predictor 
 	return p
 }
 
-// Core returns the underlying uncached predictor.
+// Core returns the underlying sequential predictor.
 func (p *Predictor) Core() *core.Predictor { return p.inner }
 
 // Ladder returns the frequency ladder predictions are made over.
 func (p *Predictor) Ladder() *freq.Ladder { return p.inner.Ladder }
 
-// CacheStats is a snapshot of the prediction cache counters.
-type CacheStats struct {
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	Entries  int    `json:"entries"`
-	Capacity int    `json:"capacity"`
-}
-
-// Stats returns the cache hit/miss accounting since construction.
-func (p *Predictor) Stats() CacheStats {
-	s := CacheStats{Hits: p.hits.Load(), Misses: p.misses.Load()}
-	if p.cache != nil {
-		s.Entries = p.cache.len()
-		s.Capacity = p.cache.cap
-	}
-	return s
-}
-
-// PredictConfig predicts both objectives for one configuration, consulting
-// the cache first.
+// PredictConfig predicts both objectives for one configuration.
 func (p *Predictor) PredictConfig(st features.Static, cfg freq.Config) core.Prediction {
-	v := features.Combine(st, cfg)
-	if p.cache != nil {
-		if cv, ok := p.cache.get(v); ok {
-			p.hits.Add(1)
-			return core.Prediction{Config: cfg, Speedup: cv.speedup, NormEnergy: cv.energy}
-		}
-	}
-	p.misses.Add(1)
-	x := v.Slice()
-	pr := core.Prediction{
-		Config:     cfg,
-		Speedup:    p.inner.Models.Speedup.Predict(x),
-		NormEnergy: p.inner.Models.Energy.Predict(x),
-	}
-	if p.cache != nil {
-		p.cache.put(v, cacheVal{speedup: pr.Speedup, energy: pr.NormEnergy})
-	}
-	return pr
+	return p.inner.PredictConfig(st, cfg)
 }
 
 // predictConfigs evaluates many configurations for one kernel, splitting
@@ -153,7 +109,8 @@ func (p *Predictor) PredictAll(st features.Static, mems []freq.MHz) []core.Predi
 	return p.predictConfigs(st, cfgs)
 }
 
-// memLHeuristic is the cached-path version of core.Predictor.MemLHeuristic.
+// memLHeuristic is core.Predictor.MemLHeuristic over the precomputed
+// heuristic configuration.
 func (p *Predictor) memLHeuristic(st features.Static) (core.Prediction, bool) {
 	if !p.hasMemL {
 		return core.Prediction{}, false

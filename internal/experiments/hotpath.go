@@ -42,7 +42,7 @@ type HotPathReport struct {
 // timePerKernel runs f (which processes kernels kernels per call) until it
 // has spent a minimum wall-clock budget, returning the mean ns per kernel.
 func timePerKernel(kernels int, f func()) float64 {
-	const budget = 30 * time.Millisecond
+	const budget = 250 * time.Millisecond
 	f() // warm caches and pools outside the timed window
 	var (
 		elapsed time.Duration
@@ -118,45 +118,27 @@ func (s *Suite) HotPath() (HotPathReport, error) {
 		Note:        "memoized ladder sweep shared across specs",
 	})
 
-	// Warm per-config LRU: the pre-fronts /select steady state — a ladder
-	// sweep per decision whose per-configuration predictions hit the
-	// predictor's LRU after the first touch.
-	live := policy.NewGovernor(pred, -1)
-	rep.Rows = append(rep.Rows, HotPathRow{
-		Layer:       "warm config LRU",
-		NsPerKernel: timePerKernel(len(kernels), decideAll(live)),
-		Note:        "ladder sweep per decision, per-config predictions memoized",
-	})
-
 	// The last two rows compare row-at-a-time against columnar SVR
-	// evaluation with the LRU out of the way: both run the real math for
-	// every (kernel, configuration) pair.
-	models, err := s.Models()
-	if err != nil {
-		return HotPathReport{}, err
-	}
-	opts := s.Engine().Options()
-	opts.CacheSize = -1
-	uncached := engine.NewPredictor(models, s.Harness().Device().Sim().Ladder, opts)
-
+	// evaluation: both run the real math for every (kernel, configuration)
+	// pair.
 	rep.Rows = append(rep.Rows, HotPathRow{
 		Layer: "per-kernel sweep",
 		NsPerKernel: timePerKernel(len(kernels), func() {
 			for _, st := range sts {
-				uncached.ParetoSet(st)
+				pred.ParetoSet(st)
 			}
 		}),
-		Note: "row-at-a-time SVR evaluation, no cache (cold /predict)",
+		Note: "row-at-a-time SVR evaluation (sweep-LRU miss)",
 	})
 
 	// Columnar batch plane: whole-matrix PredictFrontsInto, the
-	// /predict/batch engine path (always bypasses the LRU).
+	// /predict/batch engine path.
 	scratch := engine.GetBatchScratch()
 	defer engine.PutBatchScratch(scratch)
 	rep.Rows = append(rep.Rows, HotPathRow{
 		Layer: "columnar batch",
 		NsPerKernel: timePerKernel(len(kernels), func() {
-			uncached.PredictFrontsInto(scratch, sts)
+			pred.PredictFrontsInto(scratch, sts)
 		}),
 		Note: "one flat design matrix per model, in-place fronts",
 	})

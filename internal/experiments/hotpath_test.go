@@ -17,7 +17,7 @@ func TestHotPathReport(t *testing.T) {
 	if rep.Kernels != 106 || rep.Configs == 0 {
 		t.Fatalf("unexpected shape: %d kernels, %d configs", rep.Kernels, rep.Configs)
 	}
-	want := []string{"front table", "sweep LRU", "warm config LRU", "per-kernel sweep", "columnar batch"}
+	want := []string{"front table", "sweep LRU", "per-kernel sweep", "columnar batch"}
 	if len(rep.Rows) != len(want) {
 		t.Fatalf("%d rows, want %d", len(rep.Rows), len(want))
 	}
@@ -32,7 +32,7 @@ func TestHotPathReport(t *testing.T) {
 		byLayer[row.Layer] = row
 	}
 	// The front table must be cheaper than every path that still sweeps.
-	for _, layer := range []string{"warm config LRU", "per-kernel sweep", "columnar batch"} {
+	for _, layer := range []string{"per-kernel sweep", "columnar batch"} {
 		if byLayer["front table"].NsPerKernel >= byLayer[layer].NsPerKernel {
 			t.Errorf("front table (%.0f ns) not cheaper than %s (%.0f ns)",
 				byLayer["front table"].NsPerKernel, layer, byLayer[layer].NsPerKernel)

@@ -22,13 +22,15 @@ const defaultCacheSize = 4096
 // endpoint, the gpufreq select subcommand, and examples/scheduler. All
 // methods are safe for concurrent use.
 //
-// Two layers sit between the decision cache and the predictor. A governor
-// built with NewGovernorWithFronts holds the snapshot's publish-time front
-// table: kernels in the table resolve with a map lookup and zero SVR
-// evaluations. Kernels outside the table fall back to the live ladder
-// sweep, whose result is memoized in a sweep LRU keyed on the static
-// features alone — so differing specs over the same unknown kernel share
-// one sweep instead of re-running it per spec.
+// Below the decision cache sits the per-kernel front memo, the only cache
+// between a kernel and its Pareto set (ParetoSet, which /predict uses
+// too). A governor built with NewGovernorWithFronts pre-populates it with
+// the snapshot's publish-time front table: kernels in the table resolve
+// with a map lookup and zero SVR evaluations. Kernels outside the table
+// fall back to the live ladder sweep, whose result is memoized in a sweep
+// LRU keyed on the static features alone — so differing specs, and
+// /predict, over the same unknown kernel share one sweep instead of
+// re-running it per request.
 //
 // A Governor is bound to the Predictor it was built with; after retraining
 // (which installs a new Predictor on the engine) build a new Governor so
@@ -73,8 +75,8 @@ type sweepEntry struct {
 }
 
 // NewGovernor builds a governor over a trained predictor. cacheSize bounds
-// the decision cache in entries: 0 selects the default (4096), negative
-// disables caching.
+// the decision cache and the sweep LRU in entries each: 0 selects the
+// default (4096), negative disables both.
 func NewGovernor(p *engine.Predictor, cacheSize int) *Governor {
 	return NewGovernorWithFronts(p, cacheSize, nil)
 }
@@ -118,7 +120,7 @@ func (g *Governor) Decide(st features.Static, spec Spec) (Decision, error) {
 		return d, nil
 	}
 	g.misses.Add(1)
-	d, err := Choose(g.paretoSet(st), spec)
+	d, err := Choose(g.ParetoSet(st), spec)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -126,10 +128,14 @@ func (g *Governor) Decide(st features.Static, spec Spec) (Decision, error) {
 	return d, nil
 }
 
-// paretoSet resolves a kernel's Pareto set through the governor's layers:
-// the publish-time front table (zero SVR evaluations), then the sweep LRU
-// (one sweep shared across specs), then the predictor's live sweep.
-func (g *Governor) paretoSet(st features.Static) []core.Prediction {
+// ParetoSet resolves a kernel's Pareto set through the front memo: the
+// publish-time front table (zero SVR evaluations), then the sweep LRU (one
+// sweep shared across specs and endpoints), then the predictor's live
+// parallel ladder sweep. Every call advances exactly one of FrontHits,
+// SweepHits or SweepMisses. The result is bit-identical to
+// Predictor().ParetoSet(st) and may be shared with other callers; callers
+// must not mutate it.
+func (g *Governor) ParetoSet(st features.Static) []core.Prediction {
 	if set, ok := g.fronts[st]; ok {
 		g.frontHits.Add(1)
 		return set
@@ -204,9 +210,11 @@ func (g *Governor) DecideOver(st features.Static, cfgs []freq.Config, spec Spec)
 // Stats is a snapshot of the governor's cache counters: the decision
 // cache (Hits/Misses/Entries/Capacity), the publish-time front table
 // (FrontKernels/FrontHits), and the live-sweep LRU that backs kernels
-// outside the table (SweepHits/SweepMisses). On a decision-cache miss
-// exactly one of FrontHits, SweepHits, or SweepMisses advances — only
-// SweepMisses cost SVR evaluations.
+// outside the table (SweepHits/SweepMisses). Each front resolution
+// (ParetoSet) — a decision-cache miss on /select, or a kernel on
+// /predict — advances exactly one of FrontHits, SweepHits, or
+// SweepMisses; only SweepMisses cost SVR evaluations. FrontHits can
+// therefore exceed Misses.
 type Stats struct {
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`
@@ -215,11 +223,11 @@ type Stats struct {
 	// FrontKernels is the number of kernels in the publish-time front table
 	// (0 when the governor serves a snapshot without fronts).
 	FrontKernels int `json:"front_kernels"`
-	// FrontHits counts decisions resolved from the front table with zero
-	// SVR evaluations.
+	// FrontHits counts front resolutions served from the front table with
+	// zero SVR evaluations.
 	FrontHits uint64 `json:"front_hits"`
-	// SweepHits counts decisions that reused a memoized live sweep;
-	// SweepMisses counts the sweeps actually run.
+	// SweepHits counts front resolutions that reused a memoized live
+	// sweep; SweepMisses counts the sweeps actually run.
 	SweepHits   uint64 `json:"sweep_hits"`
 	SweepMisses uint64 `json:"sweep_misses"`
 }
@@ -246,14 +254,6 @@ func (g *Governor) Stats() Stats {
 // FrontKernels returns the number of kernels covered by the governor's
 // publish-time front table (0 without fronts).
 func (g *Governor) FrontKernels() int { return len(g.fronts) }
-
-// Front returns the precomputed Pareto set for a kernel in the front
-// table, if present. The slice aliases the table; callers must not mutate
-// it.
-func (g *Governor) Front(st features.Static) ([]core.Prediction, bool) {
-	set, ok := g.fronts[st]
-	return set, ok
-}
 
 func (g *Governor) lookup(k decisionKey) (Decision, bool) {
 	if g.l == nil {

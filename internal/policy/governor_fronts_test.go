@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -11,8 +12,8 @@ import (
 
 // TestGovernorFrontZeroSVR pins the publish-time-fronts contract: deciding
 // a kernel present in the front table performs zero SVR evaluations — the
-// predictor's cache counters (which tick on every ParetoSet call, hit or
-// miss) stay frozen — and every such decision is a front hit.
+// sweep counters (SweepMisses counts every live sweep) stay at zero — and
+// every such decision is a front hit.
 func TestGovernorFrontZeroSVR(t *testing.T) {
 	pred := trainedGovernor(t, gpu.TitanX(), -1).Predictor()
 	st := bench.All()[0].Features()
@@ -42,16 +43,11 @@ func TestGovernorFrontZeroSVR(t *testing.T) {
 				spec.Name, d.Chosen.Config, want.Chosen.Config)
 		}
 	}
-	// With a frozen baseline, front decisions alone must not move the
-	// predictor's counters (which tick on every ParetoSet call).
-	base := pred.Stats()
+	// A second pass of front decisions: still front hits, still no sweep.
 	for _, spec := range specs {
 		if _, err := gov.Decide(st, spec); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := pred.Stats(); got != base {
-		t.Fatalf("front decisions touched the predictor: %+v -> %+v", base, got)
 	}
 
 	s := gov.Stats()
@@ -61,8 +57,8 @@ func TestGovernorFrontZeroSVR(t *testing.T) {
 	if s.SweepHits != 0 || s.SweepMisses != 0 {
 		t.Fatalf("front kernel leaked into the sweep layer: %+v", s)
 	}
-	if got, ok := gov.Front(st); !ok || len(got) != len(set) {
-		t.Fatalf("Front(st) = %v, %v; want the published set", got, ok)
+	if got := gov.ParetoSet(st); !reflect.DeepEqual(got, set) {
+		t.Fatalf("ParetoSet(st) = %v; want the published set", got)
 	}
 }
 
@@ -108,6 +104,35 @@ func TestGovernorSweepSharedAcrossSpecs(t *testing.T) {
 	}
 }
 
+// TestGovernorParetoSetFrontMemo pins the front memo behind ParetoSet,
+// the path /predict shares with Decide: a table kernel resolves to the
+// published set with one front hit and no sweep, and an unknown kernel
+// costs one live sweep on first touch that a later decision over it
+// reuses. Both results are bit-identical to the predictor's live sweep.
+func TestGovernorParetoSetFrontMemo(t *testing.T) {
+	pred := trainedGovernor(t, gpu.TitanX(), -1).Predictor()
+	known, unknown := bench.All()[0].Features(), bench.All()[1].Features()
+	gov := NewGovernorWithFronts(pred, 0,
+		map[features.Static][]core.Prediction{known: pred.ParetoSet(known)})
+
+	if got := gov.ParetoSet(known); !reflect.DeepEqual(got, pred.ParetoSet(known)) {
+		t.Fatalf("front-table set differs from the live sweep:\n%+v\n%+v", got, pred.ParetoSet(known))
+	}
+	if s := gov.Stats(); s.FrontHits != 1 || s.SweepHits != 0 || s.SweepMisses != 0 || s.Hits+s.Misses != 0 {
+		t.Fatalf("table kernel accounting: %+v (want one front hit, no sweep, no decision)", s)
+	}
+
+	if got := gov.ParetoSet(unknown); !reflect.DeepEqual(got, pred.ParetoSet(unknown)) {
+		t.Fatalf("swept set differs from the live sweep:\n%+v\n%+v", got, pred.ParetoSet(unknown))
+	}
+	if _, err := gov.Decide(unknown, Spec{Name: MinEnergy}); err != nil {
+		t.Fatal(err)
+	}
+	if s := gov.Stats(); s.SweepMisses != 1 || s.SweepHits != 1 || s.FrontHits != 1 || s.Misses != 1 {
+		t.Fatalf("unknown kernel accounting: %+v (want one sweep miss, then one sweep hit)", s)
+	}
+}
+
 // BenchmarkGovernorDecideFront measures the decision path the publish-time
 // front table buys: caches disabled, every Decide is a front-table map hit
 // plus policy resolution — zero SVR evaluations.
@@ -118,6 +143,28 @@ func BenchmarkGovernorDecideFront(b *testing.B) {
 	gov := NewGovernorWithFronts(pred, -1,
 		map[features.Static][]core.Prediction{st: set})
 	spec := Spec{Name: MinEnergy}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gov.Decide(st, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGovernorDecideHit is the same front-table kernel with the
+// decision cache on: after the first call every Decide is a decision-cache
+// hit, skipping policy resolution over the front. The gap to
+// BenchmarkGovernorDecideFront is what the decision LRU saves.
+func BenchmarkGovernorDecideHit(b *testing.B) {
+	pred := trainedGovernor(b, gpu.TitanX(), -1).Predictor()
+	st := bench.All()[0].Features()
+	gov := NewGovernorWithFronts(pred, 0,
+		map[features.Static][]core.Prediction{st: pred.ParetoSet(st)})
+	spec := Spec{Name: MinEnergy}
+	if _, err := gov.Decide(st, spec); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

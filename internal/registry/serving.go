@@ -9,15 +9,13 @@ import (
 )
 
 // VersionStats is the serving-side accounting of one model version: the
-// engine predictor's SVR-evaluation cache counters and the policy
-// governor's decision-cache counters accumulated while the version was
-// (or is) active. Stats for retired versions are frozen at swap time, so
-// a retrain no longer discards the in-flight counters of the model it
-// replaces.
+// policy governor's decision-cache and front-memo counters accumulated
+// while the version was (or is) active. Stats for retired versions are
+// frozen at swap time, so a retrain no longer discards the in-flight
+// counters of the model it replaces.
 type VersionStats struct {
-	// Predictor is the SVR-evaluation cache accounting.
-	Predictor engine.CacheStats `json:"predictor"`
-	// Decisions is the policy governor's decision-cache accounting.
+	// Decisions is the policy governor's cache accounting: decision cache,
+	// front table and sweep LRU.
 	Decisions policy.Stats `json:"decisions"`
 	// Live marks the currently serving version; retired versions report
 	// their final counters.
@@ -47,8 +45,8 @@ func NewServing() *Serving {
 	return &Serving{retired: map[string]VersionStats{}}
 }
 
-// Install atomically swaps the active version: the outgoing predictor and
-// governor counters are frozen into the retired-stats archive, and the new
+// Install atomically swaps the active version: the outgoing governor's
+// counters are frozen into the retired-stats archive, and the new
 // predictor is published together with a fresh governor built over it
 // (decisions cached against the old models must not outlive them).
 // In-flight requests holding the previous triple finish against it safely;
@@ -78,11 +76,7 @@ func (s *Serving) retire() {
 	if s.pred == nil {
 		return
 	}
-	s.retired[s.version] = VersionStats{
-		Predictor: s.pred.Stats(),
-		Decisions: s.gov.Stats(),
-		RetiredAt: time.Now().UTC(),
-	}
+	s.retired[s.version] = VersionStats{Decisions: s.gov.Stats(), RetiredAt: time.Now().UTC()}
 }
 
 // Current returns the active version id, predictor, and governor as one
@@ -114,7 +108,7 @@ func (s *Serving) StatsFor(version string) (VersionStats, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if version != "" && version == s.version && s.pred != nil {
-		return VersionStats{Predictor: s.pred.Stats(), Decisions: s.gov.Stats(), Live: true}, true
+		return VersionStats{Decisions: s.gov.Stats(), Live: true}, true
 	}
 	vs, ok := s.retired[version]
 	return vs, ok
@@ -130,7 +124,7 @@ func (s *Serving) AllStats() map[string]VersionStats {
 		out[v] = vs
 	}
 	if s.pred != nil {
-		out[s.version] = VersionStats{Predictor: s.pred.Stats(), Decisions: s.gov.Stats(), Live: true}
+		out[s.version] = VersionStats{Decisions: s.gov.Stats(), Live: true}
 	}
 	return out
 }

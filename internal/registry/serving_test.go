@@ -47,14 +47,14 @@ func TestServingInstallAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	vs, ok := s.StatsFor("v0001")
-	if !ok || !vs.Live || vs.Predictor.Misses == 0 || vs.Decisions.Misses == 0 {
+	if !ok || !vs.Live || vs.Decisions.SweepMisses == 0 || vs.Decisions.Misses == 0 {
 		t.Fatalf("live stats: %+v, %v", vs, ok)
 	}
 
 	// Swap: v0001's counters must be preserved (frozen), not dropped.
 	installVersion(t, s, eng, "v0002", models)
 	old, ok := s.StatsFor("v0001")
-	if !ok || old.Live || old.Predictor.Misses == 0 || old.Decisions.Misses == 0 || old.RetiredAt.IsZero() {
+	if !ok || old.Live || old.Decisions.SweepMisses == 0 || old.Decisions.Misses == 0 || old.RetiredAt.IsZero() {
 		t.Fatalf("retired stats lost on swap: %+v, %v", old, ok)
 	}
 	fresh, ok := s.StatsFor("v0002")
