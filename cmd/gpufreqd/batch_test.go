@@ -229,6 +229,12 @@ func TestPredictBatchHandlerAllocs(t *testing.T) {
 	// The budget covers header writes (two Set calls), Content-Length
 	// formatting, and mime parsing — nothing proportional to the batch.
 	const budget = 12
+	if raceEnabled {
+		// sync.Pool drops buffers on purpose under -race; the handler
+		// still ran above, only the count is not enforced.
+		t.Logf("race build: %.0f allocs/request, budget %d not enforced", allocs, budget)
+		return
+	}
 	if allocs > budget {
 		t.Fatalf("binary batch handler allocates %.0f objects/request, budget %d", allocs, budget)
 	}

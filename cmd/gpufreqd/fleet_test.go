@@ -132,7 +132,12 @@ func TestAgentModeServesAndForwards(t *testing.T) {
 		}
 	}
 
-	// The control plane's directory lists the agent as synced.
+	// The control plane's directory lists the agent as synced once its
+	// next heartbeat reports the installed hash: the register that carried
+	// the snapshot reported the agent's pre-install (empty) hash.
+	if err := syncAgent(rig); err != nil {
+		t.Fatalf("agent heartbeat: %v", err)
+	}
 	rec = get(t, ctl, "/fleet/nodes")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/fleet/nodes status %d: %s", rec.Code, rec.Body)

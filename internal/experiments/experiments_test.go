@@ -18,7 +18,7 @@ var (
 	fastSuite *Suite
 )
 
-func suite(t *testing.T) *Suite {
+func suite(t testing.TB) *Suite {
 	t.Helper()
 	fastOnce.Do(func() {
 		fastSuite = NewSuiteWithOptions(core.Options{SettingsPerKernel: 12})

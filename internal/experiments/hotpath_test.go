@@ -7,7 +7,9 @@ import (
 
 // TestHotPathReport smoke-tests the serve-hot-path table on the shared
 // small suite: every layer is present, costs are positive, and the
-// publish-time front table beats the live decision paths.
+// publish-time front table beats the live decision paths by orders of
+// magnitude. The columnar-versus-sweep comparison, whose margin is too
+// thin for a loaded runner, is BenchmarkHotPathColumnar.
 func TestHotPathReport(t *testing.T) {
 	s := suite(t)
 	rep, err := s.HotPath()
@@ -38,11 +40,6 @@ func TestHotPathReport(t *testing.T) {
 				byLayer["front table"].NsPerKernel, layer, byLayer[layer].NsPerKernel)
 		}
 	}
-	// The columnar batch must beat the row-at-a-time uncached sweep.
-	if byLayer["columnar batch"].NsPerKernel >= byLayer["per-kernel sweep"].NsPerKernel {
-		t.Errorf("columnar batch (%.0f ns/kernel) not cheaper than per-kernel sweep (%.0f ns/kernel)",
-			byLayer["columnar batch"].NsPerKernel, byLayer["per-kernel sweep"].NsPerKernel)
-	}
 
 	var b strings.Builder
 	RenderHotPath(&b, rep)
@@ -51,5 +48,34 @@ func TestHotPathReport(t *testing.T) {
 		if !strings.Contains(out, wantStr) {
 			t.Errorf("rendered report missing %q:\n%s", wantStr, out)
 		}
+	}
+}
+
+// BenchmarkHotPathColumnar is the columnar batch's speed check, run by the
+// CI bench job: both it and the per-kernel sweep run the same RBF math, so
+// the batch wins only by sharding, a margin too thin to assert on a loaded
+// test runner. It reports both rows and fails when the columnar batch is
+// not cheaper per kernel than the row-at-a-time uncached sweep.
+func BenchmarkHotPathColumnar(b *testing.B) {
+	s := suite(b)
+	var columnar, sweep float64
+	for i := 0; i < b.N; i++ {
+		rep, err := s.HotPath()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, row := range rep.Rows {
+			switch row.Layer {
+			case "columnar batch":
+				columnar = row.NsPerKernel
+			case "per-kernel sweep":
+				sweep = row.NsPerKernel
+			}
+		}
+	}
+	b.ReportMetric(columnar, "columnar-ns/kernel")
+	b.ReportMetric(sweep, "sweep-ns/kernel")
+	if columnar >= sweep {
+		b.Fatalf("columnar batch (%.0f ns/kernel) not cheaper than per-kernel sweep (%.0f ns/kernel)", columnar, sweep)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -412,4 +413,63 @@ func trainDecision() (d policy.Decision) {
 	d.Feasible = true
 	d.Candidates = 1
 	return d
+}
+
+// TestSharedFrontTableStaysPristine pins that no reader mutates the front
+// table the registry shares among every caller of the same snapshot: after
+// replans and /select-path decisions over it, the active snapshot's table
+// still equals a fresh decode of the document.
+func TestSharedFrontTableStaysPristine(t *testing.T) {
+	c := newControl(t, constModels(t, 1, 1), adapt.Config{})
+	const kernels = 4
+	man := publishFrontedN(t, c, "titanx", kernels)
+	if _, err := c.Register(RegisterRequest{Node: "n1", Device: "titanx"}); err != nil {
+		t.Fatal(err)
+	}
+	forward(t, c, "n1", "titanx", trainObs(0, 1, 1), trainObs(1, 1, 1), trainObs(1, 1, 1), trainObs(3, 1, 1))
+	if _, err := c.SetBudget(context.Background(), budget.Budget{Total: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	models, shared, _, err := c.Store().LoadFull("titanx", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newEngineFor(t, "titanx")
+	serving := registry.NewServing()
+	serving.InstallWithFronts(man.Version, engine.NewPredictor(models, eng.Harness().Device().Sim().Ladder, eng.Options()), shared)
+	_, _, gov, _ := serving.Current()
+	for _, k := range engine.TrainingKernels()[:kernels] {
+		for _, p := range policy.Builtins() {
+			if _, err := gov.Decide(k.Features, policy.Spec{Name: p.Name}); err != nil {
+				t.Fatalf("%s/%s: %v", k.Name, p.Name, err)
+			}
+		}
+	}
+	if _, err := c.Replan(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	doc, err := c.Store().ExportDoc("titanx", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := registry.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.ImportDoc(doc); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.LoadFronts("titanx", man.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Store().LoadFronts("titanx", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != kernels || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(shared, want) {
+		t.Fatal("the shared front table changed under replans and decisions")
+	}
 }

@@ -33,6 +33,10 @@ type FrontEntry struct {
 // snapshot's own models at publish time. A governor holding the table
 // resolves policies for known kernels with a map lookup — zero SVR
 // evaluations — and falls back to the live sweep for unknown kernels.
+//
+// A table returned by Store.LoadFronts or Store.LoadFull is immutable: the
+// Store shares one decoded table among every caller that reads the same
+// document, so callers must not mutate it or the slices it holds.
 type Fronts struct {
 	// Kernels lists the per-kernel entries in publication order.
 	Kernels []FrontEntry `json:"kernels"`

@@ -30,6 +30,12 @@
 // restarts. A Store opened with an empty directory path keeps everything
 // in memory — same API, no files — which is how gpufreqd runs when no
 // -model-dir is configured.
+//
+// Every read re-reads the document and re-hashes all of its bytes. The
+// Store keeps the decodes of the last few documents that passed the full
+// integrity check, keyed by that SHA-256, and reuses one only for a
+// byte-identical document: a repeat read costs a read plus a hash, and a
+// file damaged in place still fails its next read.
 package registry
 
 import (
@@ -248,6 +254,23 @@ type Store struct {
 	seq      map[string]int               // device -> highest allocated sequence number
 	active   map[string]ActiveState       // device -> activation state (memory mode cache)
 	manCache map[string]manCacheEntry     // device/version -> verified manifest
+	memo     []*verified                  // verified decodes, least recently used first
+}
+
+// memoSize bounds the decode memo: the active and previous version of two
+// devices.
+const memoSize = 4
+
+// verified is one snapshot document that passed decode, memoized under the
+// SHA-256 of its exact bytes. It keeps what readers need — the manifest,
+// the raw models (re-deserialized per LoadFull, so every caller gets its
+// own *core.Models) and the decoded front table, which callers share — but
+// neither the document nor its raw fronts section.
+type verified struct {
+	sum    [sha256.Size]byte
+	man    Manifest
+	models json.RawMessage
+	fronts *Fronts
 }
 
 // manCacheEntry caches one verified manifest so the /models polling hot
@@ -499,25 +522,107 @@ func decode(device, version string, doc []byte) (snapshotFile, *Fronts, error) {
 	if err := json.Unmarshal(doc, &sf); err != nil {
 		return sf, nil, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, version, err)
 	}
+	fronts, err := sf.check(device, version)
+	return sf, fronts, err
+}
+
+// check integrity-checks a parsed snapshot document read as
+// (device, version): the manifest version, the models hash and the fronts
+// section. It returns the decoded front table.
+func (sf *snapshotFile) check(device, version string) (*Fronts, error) {
 	if sf.Manifest.Version != version {
-		return sf, nil, fmt.Errorf("%w: %s/%s: manifest claims version %q", ErrCorrupt, device, version, sf.Manifest.Version)
+		return nil, errVersion(device, version, sf.Manifest.Version)
 	}
 	if len(sf.Models) == 0 {
-		return sf, nil, fmt.Errorf("%w: %s/%s: snapshot has no models", ErrCorrupt, device, version)
+		return nil, fmt.Errorf("%w: %s/%s: snapshot has no models", ErrCorrupt, device, version)
 	}
 	hash, err := hashRaw(sf.Models)
 	if err != nil {
-		return sf, nil, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, version, err)
+		return nil, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, version, err)
 	}
 	if hash != sf.Manifest.Hash {
-		return sf, nil, fmt.Errorf("%w: %s/%s: content hash mismatch (manifest %.8s…, computed %.8s…)",
+		return nil, fmt.Errorf("%w: %s/%s: content hash mismatch (manifest %.8s…, computed %.8s…)",
 			ErrCorrupt, device, version, sf.Manifest.Hash, hash)
 	}
-	fronts, err := decodeFronts(device, version, sf.Fronts, sf.Manifest.Fronts)
-	if err != nil {
-		return sf, nil, err
+	return decodeFronts(device, version, sf.Fronts, sf.Manifest.Fronts)
+}
+
+// errVersion reports a document read as (device, version) whose manifest
+// claims another version.
+func errVersion(device, version, claimed string) error {
+	return fmt.Errorf("%w: %s/%s: manifest claims version %q", ErrCorrupt, device, version, claimed)
+}
+
+// verify returns the verified decode of doc, read as (device, version).
+// Every call hashes all of doc; only a document byte-identical to one that
+// already passed decode skips the JSON decode and the section hashes, and
+// it still gets the manifest-version check. Only successful decodes are
+// memoized.
+func (s *Store) verify(device, version string, doc []byte) (*verified, error) {
+	sum := sha256.Sum256(doc)
+	if v := s.recall(sum); v != nil {
+		if v.man.Version != version {
+			return nil, errVersion(device, version, v.man.Version)
+		}
+		return v, nil
 	}
-	return sf, fronts, nil
+	sf, fronts, err := decode(device, version, doc)
+	if err != nil {
+		return nil, err
+	}
+	return s.remember(sum, &sf, fronts), nil
+}
+
+// read reads and verifies the snapshot for (device, version); an empty
+// version reads the device's active snapshot.
+func (s *Store) read(device, version string) ([]byte, *verified, error) {
+	if version == "" {
+		st, ok := s.ActiveState(device)
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: %s has no active version", ErrNoSnapshot, device)
+		}
+		version = st.Version
+	}
+	doc, err := s.readDoc(device, version)
+	if err != nil {
+		return nil, nil, err
+	}
+	v, err := s.verify(device, version, doc)
+	return doc, v, err
+}
+
+// recall returns the memoized decode of the document with this digest,
+// marking it most recently used, or nil.
+func (s *Store) recall(sum [sha256.Size]byte) *verified {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, v := range s.memo {
+		if v.sum == sum {
+			copy(s.memo[i:], s.memo[i+1:])
+			s.memo[len(s.memo)-1] = v
+			return v
+		}
+	}
+	return nil
+}
+
+// remember memoizes a successfully decoded document, evicting the least
+// recently used entry beyond memoSize, and returns the entry now held for
+// its digest (a concurrent decode of the same bytes may have won).
+func (s *Store) remember(sum [sha256.Size]byte, sf *snapshotFile, fronts *Fronts) *verified {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, v := range s.memo {
+		if v.sum == sum {
+			return v
+		}
+	}
+	v := &verified{sum: sum, man: sf.Manifest, models: sf.Models, fronts: fronts}
+	if len(s.memo) == memoSize {
+		s.memo = append(s.memo[:0], s.memo[1:]...)
+	}
+	s.memo = append(s.memo, v)
+	return v
 }
 
 // Load reads, integrity-checks, and deserializes the snapshot for
@@ -535,56 +640,40 @@ func (s *Store) Load(device, version string) (*core.Models, Manifest, error) {
 // is nil for snapshots published without fronts (the pre-fronts format),
 // which remain fully loadable — callers fall back to live sweeps.
 func (s *Store) LoadFull(device, version string) (*core.Models, *Fronts, Manifest, error) {
-	if version == "" {
-		st, ok := s.ActiveState(device)
-		if !ok {
-			return nil, nil, Manifest{}, fmt.Errorf("%w: %s has no active version", ErrNoSnapshot, device)
-		}
-		version = st.Version
-	}
-	doc, err := s.readDoc(device, version)
+	_, v, err := s.read(device, version)
 	if err != nil {
 		return nil, nil, Manifest{}, err
 	}
-	sf, fronts, err := decode(device, version, doc)
-	if err != nil {
-		return nil, nil, Manifest{}, err
-	}
-	if !sf.Manifest.Schema.Equal(CurrentSchema()) {
+	if !v.man.Schema.Equal(CurrentSchema()) {
 		return nil, nil, Manifest{}, fmt.Errorf("registry: %s/%s: snapshot feature schema is incompatible with this binary",
-			device, version)
+			device, v.man.Version)
 	}
-	m, err := core.Load(bytes.NewReader(sf.Models))
+	m, err := core.Load(bytes.NewReader(v.models))
 	if err != nil {
-		return nil, nil, Manifest{}, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, version, err)
+		return nil, nil, Manifest{}, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, v.man.Version, err)
 	}
-	return m, fronts, sf.Manifest, nil
+	return m, v.fronts, v.man, nil
 }
 
 // LoadFronts reads, integrity-checks, and returns only the snapshot's
 // precomputed front table (nil for pre-fronts snapshots). An empty version
 // loads the device's active snapshot. Activation paths use it to hydrate
 // the governor without re-deserializing the models they already hold.
+// The table is shared with every other caller that read the same
+// document; see Fronts.
 func (s *Store) LoadFronts(device, version string) (*Fronts, error) {
-	if version == "" {
-		st, ok := s.ActiveState(device)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s has no active version", ErrNoSnapshot, device)
-		}
-		version = st.Version
-	}
-	doc, err := s.readDoc(device, version)
+	_, v, err := s.read(device, version)
 	if err != nil {
 		return nil, err
 	}
-	_, fronts, err := decode(device, version, doc)
-	return fronts, err
+	return v.fronts, nil
 }
 
 // GetManifest reads and integrity-checks one snapshot's manifest. Verified
 // manifests are cached (snapshots are immutable; on disk the file's size
-// and mtime guard the entry), so status polling does not re-hash every
-// snapshot per request. Load always re-verifies the full document.
+// and mtime guard the entry), so status polling does not re-read every
+// snapshot per request. Every other read re-hashes the document bytes, and
+// reuses a decode only for byte-identical documents.
 func (s *Store) GetManifest(device, version string) (Manifest, error) {
 	key := device + "/" + version
 	var size int64
@@ -609,14 +698,14 @@ func (s *Store) GetManifest(device, version string) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, err
 	}
-	sf, _, err := decode(device, version, doc)
+	v, err := s.verify(device, version, doc)
 	if err != nil {
 		return Manifest{}, err
 	}
 	s.mu.Lock()
-	s.manCache[key] = manCacheEntry{man: sf.Manifest, size: size, mtime: mtime}
+	s.manCache[key] = manCacheEntry{man: v.man, size: size, mtime: mtime}
 	s.mu.Unlock()
-	return sf.Manifest, nil
+	return v.man, nil
 }
 
 // List returns every version recorded for the device, oldest first.

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,18 +39,8 @@ func validDevice(device string) bool {
 // are exactly what ImportDoc on another store accepts, and the embedded
 // content hash lets the receiver verify them independently.
 func (s *Store) ExportDoc(device, version string) ([]byte, error) {
-	if version == "" {
-		st, ok := s.ActiveState(device)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s has no active version", ErrNoSnapshot, device)
-		}
-		version = st.Version
-	}
-	doc, err := s.readDoc(device, version)
+	doc, _, err := s.read(device, version)
 	if err != nil {
-		return nil, err
-	}
-	if _, _, err := decode(device, version, doc); err != nil {
 		return nil, err
 	}
 	return doc, nil
@@ -66,20 +57,25 @@ func (s *Store) ExportDoc(device, version string) ([]byte, error) {
 // is an idempotent no-op; a version-id collision with different content
 // is an error. ImportDoc never activates — callers decide what to serve.
 func (s *Store) ImportDoc(doc []byte) (Manifest, error) {
-	var sf snapshotFile
-	if err := json.Unmarshal(doc, &sf); err != nil {
-		return Manifest{}, fmt.Errorf("%w: unreadable document: %v", ErrCorrupt, err)
-	}
-	man := sf.Manifest
-	if !validDevice(man.Device) {
-		return Manifest{}, fmt.Errorf("%w: bad device key %q", ErrCorrupt, man.Device)
-	}
-	if !versionRe.MatchString(man.Version) {
-		return Manifest{}, fmt.Errorf("%w: bad version id %q", ErrCorrupt, man.Version)
-	}
-	if _, _, err := decode(man.Device, man.Version, doc); err != nil {
+	sum := sha256.Sum256(doc)
+	v := s.recall(sum)
+	if v == nil {
+		var sf snapshotFile
+		if err := json.Unmarshal(doc, &sf); err != nil {
+			return Manifest{}, fmt.Errorf("%w: unreadable document: %v", ErrCorrupt, err)
+		}
+		if err := checkIDs(sf.Manifest); err != nil {
+			return Manifest{}, err
+		}
+		fronts, err := sf.check(sf.Manifest.Device, sf.Manifest.Version)
+		if err != nil {
+			return Manifest{}, err
+		}
+		v = s.remember(sum, &sf, fronts)
+	} else if err := checkIDs(v.man); err != nil {
 		return Manifest{}, err
 	}
+	man := v.man
 	if !man.Schema.Equal(CurrentSchema()) {
 		return Manifest{}, fmt.Errorf("%w: %s/%s was recorded under a different feature schema",
 			ErrIncompatible, man.Device, man.Version)
@@ -114,6 +110,18 @@ func (s *Store) ImportDoc(doc []byte) (Manifest, error) {
 		return Manifest{}, err
 	}
 	return man, nil
+}
+
+// checkIDs rejects a wire-supplied manifest whose device or version id is
+// not safe to use as a store path component.
+func checkIDs(man Manifest) error {
+	if !validDevice(man.Device) {
+		return fmt.Errorf("%w: bad device key %q", ErrCorrupt, man.Device)
+	}
+	if !versionRe.MatchString(man.Version) {
+		return fmt.Errorf("%w: bad version id %q", ErrCorrupt, man.Version)
+	}
+	return nil
 }
 
 // importCollision resolves an import against an existing version: the same
