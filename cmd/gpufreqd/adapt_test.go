@@ -33,7 +33,7 @@ func adaptServer(t *testing.T, acfg adapt.Config) *server {
 	return newServer(engine.NewDefault(engine.Options{
 		Workers: 2,
 		Core:    core.Options{SettingsPerKernel: 4},
-	}), store, "titanx", acfg)
+	}), store, "titanx", acfg, planeLimits{}, nil)
 }
 
 // observeBody builds a single-observation /observe body around the shared

@@ -12,6 +12,7 @@ import (
 	"repro/internal/colproto"
 	"repro/internal/engine"
 	"repro/internal/features"
+	"repro/internal/httpjson"
 )
 
 // binaryContentType selects the length-prefixed binary framing of the
@@ -19,14 +20,14 @@ import (
 // JSON framing. The response mirrors the request's framing.
 const binaryContentType = "application/x-gpufreq-columns"
 
-// maxBatchBodyBytes bounds a /predict/batch request body. 8 MiB fits a
-// ~100k-kernel binary batch (10 float64 columns ≈ 80 B/kernel) — far past
-// any sane request — while keeping the unauthenticated read plane from
-// being a memory-exhaustion vector: the claimed Content-Length is never
-// trusted for preallocation beyond this, oversized bodies are cut off by
-// http.MaxBytesReader, and buffers that grew past the cap are dropped
-// instead of pooled.
-const maxBatchBodyBytes = 8 << 20
+// maxBodyBytes bounds every daemon POST body (413 past it). 8 MiB fits a
+// ~100k-kernel binary /predict/batch (10 float64 columns ≈ 80 B/kernel) —
+// far past any sane request — while keeping the unauthenticated planes
+// from being a memory-exhaustion vector: the claimed Content-Length is
+// never trusted for preallocation beyond this, oversized bodies are cut
+// off by http.MaxBytesReader, and batch buffers that grew past the cap
+// are dropped instead of pooled.
+const maxBodyBytes = 8 << 20
 
 // batchBuffers is one request's worth of reusable batch-path memory:
 // the raw body, the decoded columnar request, the transposed feature rows,
@@ -48,7 +49,7 @@ var batchBufPool = sync.Pool{New: func() any { return new(batchBuffers) }}
 // request grew its byte buffers past the body cap — those are dropped so
 // one oversized request cannot permanently bloat the pool.
 func putBatchBuffers(bb *batchBuffers) {
-	if cap(bb.body) > maxBatchBodyBytes || cap(bb.out) > maxBatchBodyBytes {
+	if cap(bb.body) > maxBodyBytes || cap(bb.out) > maxBodyBytes {
 		return
 	}
 	batchBufPool.Put(bb)
@@ -56,11 +57,11 @@ func putBatchBuffers(bb *batchBuffers) {
 
 // readBody reads the request body into the reusable buffer, growing it as
 // needed (io.ReadAll would allocate a fresh slice per request). The
-// Content-Length-driven preallocation is capped at maxBatchBodyBytes: the
+// Content-Length-driven preallocation is capped at maxBodyBytes: the
 // header is client-controlled and must not force an arbitrary allocation.
 func (bb *batchBuffers) readBody(r *http.Request) error {
 	bb.body = bb.body[:0]
-	if n := r.ContentLength; n > 0 && n <= maxBatchBodyBytes && int64(cap(bb.body)) < n {
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes && int64(cap(bb.body)) < n {
 		bb.body = make([]byte, 0, n)
 	}
 	for {
@@ -87,12 +88,12 @@ func (bb *batchBuffers) readBody(r *http.Request) error {
 // handwritten response encoding — reuses memory across requests.
 func (s *server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	version, pred, _, ok := s.serving.Current()
 	if !ok {
-		writeError(w, http.StatusServiceUnavailable,
+		httpjson.Error(w, http.StatusServiceUnavailable,
 			"no active model version (POST /train, or activate a stored version)")
 		return
 	}
@@ -105,35 +106,29 @@ func (s *server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 
 	bb := batchBufPool.Get().(*batchBuffers)
 	defer putBatchBuffers(bb)
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := bb.readBody(r); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body over %d bytes", int64(maxBatchBodyBytes))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		httpjson.BodyError(w, err, maxBodyBytes)
 		return
 	}
 	if len(bb.body) == 0 {
-		writeError(w, http.StatusBadRequest, "empty request body")
+		httpjson.Error(w, http.StatusBadRequest, "empty request body")
 		return
 	}
 	if binaryReq {
 		if err := bb.cols.ParseBinary(bb.body); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			httpjson.Error(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	} else {
 		bb.cols.Reset()
 		if err := json.Unmarshal(bb.body, &bb.cols); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			httpjson.Error(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
 	}
 	if err := bb.cols.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpjson.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 

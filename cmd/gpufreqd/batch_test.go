@@ -342,14 +342,14 @@ func TestPredictBatchPoolReuseAfterBadJSON(t *testing.T) {
 }
 
 // TestPredictBatchBodyCap pins the request-size bound of the
-// unauthenticated batch endpoint: a body over maxBatchBodyBytes is cut
+// unauthenticated batch endpoint: a body over maxBodyBytes is cut
 // off with 413, and a request merely *claiming* a huge Content-Length
 // cannot force a matching allocation.
 func TestPredictBatchBodyCap(t *testing.T) {
 	s := testServer(t)
 	trainWait(t, s, "{}")
 
-	big := bytes.Repeat([]byte("x"), maxBatchBodyBytes+1)
+	big := bytes.Repeat([]byte("x"), maxBodyBytes+1)
 	req := httptest.NewRequest(http.MethodPost, "/predict/batch", bytes.NewReader(big))
 	rec := httptest.NewRecorder()
 	s.mux.ServeHTTP(rec, req)
@@ -369,7 +369,7 @@ func TestPredictBatchBodyCap(t *testing.T) {
 	}
 	bb := batchBufPool.Get().(*batchBuffers)
 	defer batchBufPool.Put(bb)
-	if cap(bb.body) > maxBatchBodyBytes {
+	if cap(bb.body) > maxBodyBytes {
 		t.Fatalf("pooled body buffer is %d bytes — an oversized buffer was pooled", cap(bb.body))
 	}
 }

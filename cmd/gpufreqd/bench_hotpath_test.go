@@ -47,7 +47,7 @@ func benchServerDir(b *testing.B, dir string) *server {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := newServer(engine.NewDefault(engine.Options{}), store, "titanx", adapt.Config{})
+	s := newServer(engine.NewDefault(engine.Options{}), store, "titanx", adapt.Config{}, planeLimits{}, nil)
 	if !s.loadActive() {
 		b.Fatal("bench server did not load the snapshot")
 	}

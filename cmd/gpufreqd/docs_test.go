@@ -18,7 +18,7 @@ func docsServer(t *testing.T) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(engine.NewDefault(engine.Options{}), store, "titanx", adapt.Config{})
+	return newServer(engine.NewDefault(engine.Options{}), store, "titanx", adapt.Config{}, planeLimits{}, nil)
 }
 
 // agentDocsServer builds an -agent mode server for route introspection.

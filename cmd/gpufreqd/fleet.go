@@ -16,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/gpu"
+	"repro/internal/httpjson"
 	"repro/internal/measure"
 	"repro/internal/nvml"
 	"repro/internal/registry"
@@ -63,50 +64,32 @@ func (s *server) mountFleet(acfg adapt.Config) {
 // registry management, or local adaptation routes exist in this mode —
 // the control plane owns all of that for the whole fleet.
 func newAgentServer(e *engine.Engine, store *registry.Store, device string, limits planeLimits) *server {
-	s := &server{
-		engine:  e,
-		store:   store,
-		serving: registry.NewServing(),
-		device:  device,
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		jobs:    map[string]*trainJob{},
-		read:    newPlaneLimiter("read", limits.Read, defaultReadConcurrency),
-		control: newPlaneLimiter("control", limits.Control, defaultControlConcurrency),
-	}
+	s := newServerBase(e, store, device, limits)
 	s.handle("/healthz", s.handleHealthz)
 	s.handleRead("/predict", s.handlePredict)
 	s.handleRead("/predict/batch", s.handlePredictBatch)
 	s.handleRead("/select", s.handleSelect)
 	s.handleRead("/policies", s.handlePolicies)
 	s.handleControl("/observe", s.handleObserveForward)
-	s.handleControl("/fleet/snapshot", s.handleFleetSnapshot)
-	s.handleControl("/fleet/decisions", s.handleFleetDecisions)
+	s.handleControl("/fleet/snapshot", s.agentRoute((*fleet.Agent).HandleSnapshot))
+	s.handleControl("/fleet/decisions", s.agentRoute((*fleet.Agent).HandleDecisions))
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "no such endpoint %s in agent mode (see docs/API.md)", r.URL.Path)
+		httpjson.Error(w, http.StatusNotFound, "no such endpoint %s in agent mode (see docs/API.md)", r.URL.Path)
 	})
 	return s
 }
 
-// handleFleetSnapshot is the agent's push target: the control plane POSTs
-// raw snapshot documents here and the agent verifies and hot-swaps them.
-func (s *server) handleFleetSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.agent == nil {
-		writeError(w, http.StatusServiceUnavailable, "agent not initialized")
-		return
+// agentRoute serves one of the agent's fleet push targets (503 until the
+// agent is wired): the control plane POSTs snapshot documents to
+// /fleet/snapshot and decision tables to /fleet/decisions.
+func (s *server) agentRoute(h func(*fleet.Agent, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.agent == nil {
+			httpjson.Error(w, http.StatusServiceUnavailable, "agent not initialized")
+			return
+		}
+		h(s.agent, w, r)
 	}
-	s.agent.HandleSnapshot(w, r)
-}
-
-// handleFleetDecisions is the agent's fleet-budget target: the control
-// plane POSTs per-node decision tables here (GET returns the installed
-// one).
-func (s *server) handleFleetDecisions(w http.ResponseWriter, r *http.Request) {
-	if s.agent == nil {
-		writeError(w, http.StatusServiceUnavailable, "agent not initialized")
-		return
-	}
-	s.agent.HandleDecisions(w, r)
 }
 
 // handleObserveForward is the agent-mode /observe: the same request shape
@@ -116,16 +99,15 @@ func (s *server) handleFleetDecisions(w http.ResponseWriter, r *http.Request) {
 // control plane's per-observation verdicts back to the reporter.
 func (s *server) handleObserveForward(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	if s.agent == nil {
-		writeError(w, http.StatusServiceUnavailable, "agent not initialized")
+		httpjson.Error(w, http.StatusServiceUnavailable, "agent not initialized")
 		return
 	}
 	var req observeRequest
-	if err := readJSON(r, &req, false); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpjson.Read(w, r, maxBodyBytes, &req) {
 		return
 	}
 	reports := req.Observations
@@ -133,7 +115,7 @@ func (s *server) handleObserveForward(w http.ResponseWriter, r *http.Request) {
 		reports = append(reports, req.observeKernel)
 	}
 	if len(reports) == 0 {
-		writeError(w, http.StatusBadRequest, "no observations in request")
+		httpjson.Error(w, http.StatusBadRequest, "no observations in request")
 		return
 	}
 	results := make([]observeResult, len(reports))
@@ -142,6 +124,9 @@ func (s *server) handleObserveForward(w http.ResponseWriter, r *http.Request) {
 	for i, rep := range reports {
 		results[i].Kernel = rep.Kernel
 		o, err := rep.observation()
+		if rejectTooDeep(w, err) {
+			return
+		}
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
@@ -154,7 +139,7 @@ func (s *server) handleObserveForward(w http.ResponseWriter, r *http.Request) {
 	if len(obs) > 0 {
 		resp, sp, err := s.agent.Forward(r.Context(), obs)
 		if err != nil {
-			writeError(w, http.StatusBadGateway, "forwarding observations to the control plane: %v", err)
+			httpjson.Error(w, http.StatusBadGateway, "forwarding observations to the control plane: %v", err)
 			return
 		}
 		spooled = sp
@@ -176,7 +161,7 @@ func (s *server) handleObserveForward(w http.ResponseWriter, r *http.Request) {
 	if spooled > 0 {
 		status = http.StatusAccepted
 	}
-	writeJSON(w, status, observeResponse{
+	httpjson.Write(w, status, observeResponse{
 		ModelVersion: s.serving.Version(),
 		Results:      results,
 		Spooled:      spooled,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -10,8 +11,11 @@ import (
 	"time"
 
 	"repro/internal/adapt"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/registry"
+	"repro/internal/svm"
 )
 
 // hardenedServer makes a server of either daemon mode behind the real
@@ -27,7 +31,7 @@ func hardenedServer(t *testing.T, agentMode bool, timeouts httpTimeouts) string 
 	if agentMode {
 		s = newAgentServer(eng, store, "titanx", planeLimits{})
 	} else {
-		s = newServer(eng, store, "titanx", adapt.Config{})
+		s = newServer(eng, store, "titanx", adapt.Config{}, planeLimits{}, nil)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -142,5 +146,109 @@ func TestPanicRecoveryHonorsAbortHandler(t *testing.T) {
 	}()
 	if got := s.panics.Load(); got != 0 {
 		t.Fatalf("ErrAbortHandler counted as %d panics, want 0", got)
+	}
+}
+
+// constServing installs a support-vector-free model set (speedup and
+// energy 1 everywhere) as the serving version, so source-carrying
+// endpoints get past their "no active model" check without training.
+func constServing(t *testing.T, s *server) {
+	t.Helper()
+	build := func() *svm.Model {
+		m, err := svm.Load(strings.NewReader(`{"kernel":{"type":"linear"},"support_vectors":[],"coefs":[],"b":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if err := s.install("v0001", &core.Models{Speedup: build(), Energy: build()}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deepKernel is a kernel whose one statement nests n parentheses.
+func deepKernel(n int) string {
+	return "__kernel void k(__global float* o){ o[0] = " +
+		strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }"
+}
+
+// TestDeepNestingIsBadRequest is the parser stack-overflow regression
+// test: a million nested parentheses (2 MB of source, under the body cap)
+// used to crash the whole daemon with a fatal, unrecoverable stack
+// overflow. Every source-carrying endpoint now answers 400, and the
+// daemon keeps serving.
+func TestDeepNestingIsBadRequest(t *testing.T) {
+	s := testServer(t)
+	constServing(t, s)
+	srv := httptest.NewServer(s.handler())
+	defer srv.Close()
+	minEnergy := map[string]string{"name": "min-energy"}
+	postBody := func(path string, body any) (int, string) {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/select", map[string]any{"policy": minEnergy, "source": deepKernel(1000000)}},
+		{"/predict", map[string]string{"source": deepKernel(10000)}},
+		{"/observe", map[string]any{
+			"source": deepKernel(10000), "config": map[string]int{"mem": 3505, "core": 1000},
+			"speedup": 1, "norm_energy": 1,
+		}},
+	} {
+		if code, msg := postBody(tc.path, tc.body); code != http.StatusBadRequest || !strings.Contains(msg, "nesting deeper than") {
+			t.Errorf("%s with deep source: %d %q, want 400 naming the nesting limit", tc.path, code, msg)
+		}
+	}
+	if code, msg := postBody("/select", map[string]any{"policy": minEnergy, "source": deepKernel(10)}); code != http.StatusOK {
+		t.Fatalf("/select after the deep requests: %d %q", code, msg)
+	}
+}
+
+// TestOversizedBodiesAre413: every JSON route of both daemon modes reads
+// its body through the 8 MiB cap and answers a larger one with a
+// structured 413 instead of buffering it.
+func TestOversizedBodiesAre413(t *testing.T) {
+	big := `{"source": "` + strings.Repeat("x", 9<<20) + `"}`
+	store, err := registry.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent := newAgentServer(engine.NewDefault(engine.Options{}), store, "titanx", planeLimits{})
+	agent.agent = &fleet.Agent{}
+	for _, tc := range []struct {
+		name string
+		s    *server
+		path string
+	}{
+		{"observe", testServer(t), "/observe"},
+		{"predict", testServer(t), "/predict"},
+		{"select", testServer(t), "/select"},
+		{"train", testServer(t), "/train"},
+		{"agent observe", agent, "/observe"},
+	} {
+		rec := request(t, tc.s, http.MethodPost, tc.path, big)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &e) != nil ||
+			!strings.Contains(e.Error, "request body over") {
+			t.Errorf("%s: 9 MiB body answered %d: %.200s", tc.name, rec.Code, rec.Body)
+		}
 	}
 }

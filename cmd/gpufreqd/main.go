@@ -94,11 +94,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -109,12 +107,14 @@ import (
 	"time"
 
 	"repro/internal/adapt"
+	"repro/internal/clkernel"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/features"
 	"repro/internal/fleet"
 	"repro/internal/freq"
 	"repro/internal/gpu"
+	"repro/internal/httpjson"
 	"repro/internal/measure"
 	"repro/internal/nvml"
 	"repro/internal/policy"
@@ -196,7 +196,7 @@ func main() {
 		}
 		defer wal.Close()
 	}
-	srv := newServerWAL(engine.New(measure.NewHarness(nvml.NewDevice(dev)), engine.Options{
+	srv := newServer(engine.New(measure.NewHarness(nvml.NewDevice(dev)), engine.Options{
 		Workers: *workers,
 		Core:    core.Options{SettingsPerKernel: *settings},
 	}), store, *deviceName, adapt.Config{
@@ -336,35 +336,17 @@ type server struct {
 	wal *adapt.WAL
 }
 
-// newServer builds a server with default plane concurrency limits.
-func newServer(e *engine.Engine, store *registry.Store, device string, acfg adapt.Config) *server {
-	return newServerLimits(e, store, device, acfg, planeLimits{})
-}
-
-// newServerLimits is newServer with explicit read/control-plane
-// concurrency limits (see planeLimits).
-func newServerLimits(e *engine.Engine, store *registry.Store, device string, acfg adapt.Config, limits planeLimits) *server {
-	return newServerWAL(e, store, device, acfg, limits, nil)
-}
-
-// newServerWAL is newServerLimits with a crash-safe observation WAL (nil =
+// newServer builds the default-mode server: the serving planes, training
+// and registry management, the adaptation loop and the fleet control
+// plane. limits sets the read/control-plane concurrency (zero value = the
+// defaults; see planeLimits). wal is the crash-safe observation WAL (nil =
 // memory-only observations): the adaptation controller is seeded from the
 // WAL's recovered window, so a restarted daemon resumes drift detection
 // where the previous process stopped, and every ingested observation is
 // appended for the next restart.
-func newServerWAL(e *engine.Engine, store *registry.Store, device string, acfg adapt.Config, limits planeLimits, wal *adapt.WAL) *server {
-	s := &server{
-		engine:  e,
-		store:   store,
-		serving: registry.NewServing(),
-		device:  device,
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		jobs:    map[string]*trainJob{},
-		read:    newPlaneLimiter("read", limits.Read, defaultReadConcurrency),
-		control: newPlaneLimiter("control", limits.Control, defaultControlConcurrency),
-		wal:     wal,
-	}
+func newServer(e *engine.Engine, store *registry.Store, device string, acfg adapt.Config, limits planeLimits, wal *adapt.WAL) *server {
+	s := newServerBase(e, store, device, limits)
+	s.wal = wal
 	s.adapt = adapt.New(acfg, adapt.Deps{
 		Device: device,
 		Store:  store,
@@ -408,9 +390,25 @@ func newServerWAL(e *engine.Engine, store *registry.Store, device string, acfg a
 	// other failure, not net/http's plain-text 404 page. Registered
 	// directly on the mux: "/" is a fallback, not part of the API surface.
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "no such endpoint %s (see docs/API.md)", r.URL.Path)
+		httpjson.Error(w, http.StatusNotFound, "no such endpoint %s (see docs/API.md)", r.URL.Path)
 	})
 	return s
+}
+
+// newServerBase is the state both daemon modes share, before any route
+// is mounted.
+func newServerBase(e *engine.Engine, store *registry.Store, device string, limits planeLimits) *server {
+	return &server{
+		engine:  e,
+		store:   store,
+		serving: registry.NewServing(),
+		device:  device,
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		jobs:    map[string]*trainJob{},
+		read:    newPlaneLimiter("read", limits.Read, defaultReadConcurrency),
+		control: newPlaneLimiter("control", limits.Control, defaultControlConcurrency),
+	}
 }
 
 // handle registers a route, recording its pattern so tests can verify the
@@ -479,7 +477,7 @@ func (s *server) handler() http.Handler {
 			log.Printf("gpufreqd: panic serving %s %s: %v", r.Method, r.URL.Path, rec)
 			// Best-effort: if the handler already wrote a header this is a
 			// no-op on a dead stream, which is all that can be done.
-			writeError(w, http.StatusInternalServerError, "internal error (panic recovered; see server log)")
+			httpjson.Error(w, http.StatusInternalServerError, "internal error (panic recovered; see server log)")
 		}()
 		s.mux.ServeHTTP(w, r)
 	})
@@ -587,41 +585,6 @@ func (s *server) importModels(models *core.Models) (string, error) {
 	return version, s.activateAndInstall(version, models)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// readJSON decodes one JSON document from a POST body into v. It is the
-// shared malformed-body path of every POST endpoint, so they all fail the
-// same way: 400 with a structured {"error": ...} naming the problem —
-// including trailing garbage after the document, which plain Decode would
-// silently ignore. allowEmpty admits an empty body as the zero value (used
-// by endpoints whose parameters are all optional).
-func readJSON(r *http.Request, v any, allowEmpty bool) error {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			if allowEmpty {
-				return nil
-			}
-			return errors.New("empty request body")
-		}
-		return fmt.Errorf("bad request body: %v", err)
-	}
-	if dec.More() {
-		return errors.New("bad request body: trailing data after the JSON document")
-	}
-	return nil
-}
-
 type healthResponse struct {
 	Status        string  `json:"status"`
 	Device        string  `json:"device"`
@@ -648,7 +611,7 @@ type healthResponse struct {
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	resp := healthResponse{
@@ -677,7 +640,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		st := gov.Stats()
 		resp.Cache = &st
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 type trainRequest struct {
@@ -784,21 +747,16 @@ func (s *server) waitTraining(job *trainJob) {
 }
 
 func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
 	var req trainRequest
-	if err := readJSON(r, &req, true); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpjson.ReadOptional(w, r, maxBodyBytes, &req) {
 		return
 	}
 	job, err := s.startTraining(req.Settings)
 	if err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		httpjson.Error(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, trainAccepted{
+	httpjson.Write(w, http.StatusAccepted, trainAccepted{
 		Version: job.Version,
 		Status:  statusTraining,
 		Poll:    "/models/" + job.Version,
@@ -888,12 +846,12 @@ func (s *server) modelEntries() ([]modelEntry, error) {
 
 func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	models, err := s.modelEntries()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "listing models: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "listing models: %v", err)
 		return
 	}
 	resp := modelsResponse{Device: s.device, Models: models, Registry: "memory"}
@@ -907,27 +865,27 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if v := s.serving.Version(); v != "" {
 		resp.Active = v
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 func (s *server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	id := r.PathValue("id")
 	models, err := s.modelEntries()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "listing models: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "listing models: %v", err)
 		return
 	}
 	for _, me := range models {
 		if me.Version == id {
-			writeJSON(w, http.StatusOK, me)
+			httpjson.Write(w, http.StatusOK, me)
 			return
 		}
 	}
-	writeError(w, http.StatusNotFound, "no model version %q for %s", id, s.device)
+	httpjson.Error(w, http.StatusNotFound, "no model version %q for %s", id, s.device)
 }
 
 // activateResponse reports the outcome of an activation or rollback.
@@ -943,29 +901,29 @@ func (s *server) activateVersion(w http.ResponseWriter, id string) {
 	models, man, err := s.store.Load(s.device, id)
 	switch {
 	case errors.Is(err, registry.ErrNoSnapshot):
-		writeError(w, http.StatusNotFound, "%v", err)
+		httpjson.Error(w, http.StatusNotFound, "%v", err)
 		return
 	case errors.Is(err, registry.ErrCorrupt):
-		writeError(w, http.StatusConflict, "refusing to activate: %v", err)
+		httpjson.Error(w, http.StatusConflict, "refusing to activate: %v", err)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "loading %s: %v", id, err)
+		httpjson.Error(w, http.StatusInternalServerError, "loading %s: %v", id, err)
 		return
 	}
 	if err := s.activateAndInstall(id, models); err != nil {
-		writeError(w, http.StatusInternalServerError, "activating %s: %v", id, err)
+		httpjson.Error(w, http.StatusInternalServerError, "activating %s: %v", id, err)
 		return
 	}
 	resp := activateResponse{Active: id, Hash: man.Hash}
 	if prev, ok := s.store.Previous(s.device); ok {
 		resp.Previous = prev
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 func (s *server) handleModelActivate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	s.activateVersion(w, r.PathValue("id"))
@@ -973,12 +931,12 @@ func (s *server) handleModelActivate(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	target, ok := s.store.Previous(s.device)
 	if !ok {
-		writeError(w, http.StatusConflict, "no previous version to roll back to")
+		httpjson.Error(w, http.StatusConflict, "no previous version to roll back to")
 		return
 	}
 	s.activateVersion(w, target)
@@ -1013,13 +971,8 @@ type predictResponse struct {
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
 	var req predictRequest
-	if err := readJSON(r, &req, false); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpjson.Read(w, r, maxBodyBytes, &req) {
 		return
 	}
 	kernels := req.Kernels
@@ -1027,12 +980,12 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		kernels = append(kernels, predictKernel{Source: req.Source, Kernel: req.Kernel})
 	}
 	if len(kernels) == 0 {
-		writeError(w, http.StatusBadRequest, "no kernels in request")
+		httpjson.Error(w, http.StatusBadRequest, "no kernels in request")
 		return
 	}
 	version, _, gov, ok := s.serving.Current()
 	if !ok {
-		writeError(w, http.StatusServiceUnavailable,
+		httpjson.Error(w, http.StatusServiceUnavailable,
 			"no active model version (POST /train, or activate a stored version)")
 		return
 	}
@@ -1043,18 +996,21 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	results := make([]predictResult, len(kernels))
 	for i, k := range kernels {
 		if err := r.Context().Err(); err != nil {
-			writeError(w, http.StatusInternalServerError, "predict: %v", err)
+			httpjson.Error(w, http.StatusInternalServerError, "predict: %v", err)
 			return
 		}
 		results[i].Kernel = k.Kernel
 		st, err := features.ExtractSource(k.Source, k.Kernel)
+		if rejectTooDeep(w, err) {
+			return
+		}
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
 		}
 		results[i].Pareto = gov.ParetoSet(st)
 	}
-	writeJSON(w, http.StatusOK, predictResponse{ModelVersion: version, Results: results, Cache: gov.Stats()})
+	httpjson.Write(w, http.StatusOK, predictResponse{ModelVersion: version, Results: results, Cache: gov.Stats()})
 }
 
 type selectRequest struct {
@@ -1083,19 +1039,25 @@ type selectResponse struct {
 	Cache policy.Stats `json:"cache"`
 }
 
-func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
+// rejectTooDeep answers 400 when err is kernel source nested past the
+// parser's depth limit: like an oversized body, that fails the whole
+// request instead of one result.
+func rejectTooDeep(w http.ResponseWriter, err error) bool {
+	if !errors.Is(err, clkernel.ErrTooDeep) {
+		return false
 	}
+	httpjson.Error(w, http.StatusBadRequest, "%v", err)
+	return true
+}
+
+func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req selectRequest
-	if err := readJSON(r, &req, false); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpjson.Read(w, r, maxBodyBytes, &req) {
 		return
 	}
 	spec := req.Policy.WithDefaults()
 	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpjson.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	kernels := req.Kernels
@@ -1103,12 +1065,12 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		kernels = append(kernels, predictKernel{Source: req.Source, Kernel: req.Kernel})
 	}
 	if len(kernels) == 0 {
-		writeError(w, http.StatusBadRequest, "no kernels in request")
+		httpjson.Error(w, http.StatusBadRequest, "no kernels in request")
 		return
 	}
 	version, _, gov, ok := s.serving.Current()
 	if !ok {
-		writeError(w, http.StatusServiceUnavailable,
+		httpjson.Error(w, http.StatusServiceUnavailable,
 			"no active model version (POST /train, or activate a stored version)")
 		return
 	}
@@ -1117,13 +1079,16 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	for i, k := range kernels {
 		results[i].Kernel = k.Kernel
 		d, err := gov.DecideSource(k.Source, k.Kernel, spec)
+		if rejectTooDeep(w, err) {
+			return
+		}
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
 		}
 		results[i].Decision = &d
 	}
-	writeJSON(w, http.StatusOK, selectResponse{
+	httpjson.Write(w, http.StatusOK, selectResponse{
 		Policy: spec, ModelVersion: version, Results: results, Cache: gov.Stats(),
 	})
 }
@@ -1134,10 +1099,10 @@ type policiesResponse struct {
 
 func (s *server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, policiesResponse{Policies: policy.Builtins()})
+	httpjson.Write(w, http.StatusOK, policiesResponse{Policies: policy.Builtins()})
 }
 
 // observeKernel is one reported observation: the kernel identified either
@@ -1207,13 +1172,8 @@ type observeResponse struct {
 }
 
 func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
 	var req observeRequest
-	if err := readJSON(r, &req, false); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpjson.Read(w, r, maxBodyBytes, &req) {
 		return
 	}
 	reports := req.Observations
@@ -1221,12 +1181,12 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		reports = append(reports, req.observeKernel)
 	}
 	if len(reports) == 0 {
-		writeError(w, http.StatusBadRequest, "no observations in request")
+		httpjson.Error(w, http.StatusBadRequest, "no observations in request")
 		return
 	}
 	version, _, _, ok := s.serving.Current()
 	if !ok {
-		writeError(w, http.StatusServiceUnavailable,
+		httpjson.Error(w, http.StatusServiceUnavailable,
 			"no active model version to observe against (POST /train first)")
 		return
 	}
@@ -1234,6 +1194,9 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	for i, rep := range reports {
 		results[i].Kernel = rep.Kernel
 		o, err := rep.observation()
+		if rejectTooDeep(w, err) {
+			return
+		}
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
@@ -1245,7 +1208,7 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		results[i].Ingest = &res
 	}
-	writeJSON(w, http.StatusOK, observeResponse{
+	httpjson.Write(w, http.StatusOK, observeResponse{
 		ModelVersion: version,
 		Results:      results,
 		Store:        s.adapt.StoreStats(),
@@ -1254,10 +1217,10 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleAdaptStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.adapt.Status())
+	httpjson.Write(w, http.StatusOK, s.adapt.Status())
 }
 
 // adaptRetrainAccepted is the 202 response to POST /adapt/retrain.
@@ -1268,19 +1231,19 @@ type adaptRetrainAccepted struct {
 
 func (s *server) handleAdaptRetrain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	if _, _, _, ok := s.serving.Current(); !ok {
-		writeError(w, http.StatusServiceUnavailable,
+		httpjson.Error(w, http.StatusServiceUnavailable,
 			"no active model version to retrain from (POST /train first)")
 		return
 	}
 	if err := s.adapt.StartRetrain("manual: POST /adapt/retrain"); err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		httpjson.Error(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, adaptRetrainAccepted{
+	httpjson.Write(w, http.StatusAccepted, adaptRetrainAccepted{
 		Status: "retraining",
 		Poll:   "/adapt/status",
 	})

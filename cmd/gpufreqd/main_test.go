@@ -42,7 +42,7 @@ func testServerDir(t *testing.T, dir string) *server {
 	return newServer(engine.NewDefault(engine.Options{
 		Workers: 4,
 		Core:    core.Options{SettingsPerKernel: 4},
-	}), store, "titanx", adapt.Config{})
+	}), store, "titanx", adapt.Config{}, planeLimits{}, nil)
 }
 
 // testServerOn builds a server over a small engine for the named GPU
@@ -60,7 +60,7 @@ func testServerOn(t *testing.T, name string) *server {
 	return newServer(engine.New(measure.NewHarness(nvml.NewDevice(dev)), engine.Options{
 		Workers: 4,
 		Core:    core.Options{SettingsPerKernel: 4},
-	}), store, name, adapt.Config{})
+	}), store, name, adapt.Config{}, planeLimits{}, nil)
 }
 
 func get(t *testing.T, s *server, path string) *httptest.ResponseRecorder {

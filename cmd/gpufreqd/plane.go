@@ -3,6 +3,8 @@ package main
 import (
 	"net/http"
 	"sync/atomic"
+
+	"repro/internal/httpjson"
 )
 
 // Default per-plane concurrency limits. The read plane is sized for the
@@ -63,7 +65,7 @@ func (l *planeLimiter) wrap(h http.HandlerFunc) http.HandlerFunc {
 		default:
 			l.shed.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable,
+			httpjson.Error(w, http.StatusServiceUnavailable,
 				"%s plane at its concurrency limit (%d in flight); retry", l.name, cap(l.sem))
 		}
 	}

@@ -82,10 +82,10 @@ func TestPlaneSplitIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServerLimits(engine.NewDefault(engine.Options{
+	s := newServer(engine.NewDefault(engine.Options{
 		Workers: 2,
 		Core:    core.Options{SettingsPerKernel: 4},
-	}), store, "titanx", adapt.Config{}, planeLimits{Read: 4, Control: 2})
+	}), store, "titanx", adapt.Config{}, planeLimits{Read: 4, Control: 2}, nil)
 
 	// Fill every control-plane slot.
 	for i := 0; i < cap(s.control.sem); i++ {
@@ -154,10 +154,10 @@ func TestHealthzSurvivesReadSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServerLimits(engine.NewDefault(engine.Options{
+	s := newServer(engine.NewDefault(engine.Options{
 		Workers: 2,
 		Core:    core.Options{SettingsPerKernel: 4},
-	}), store, "titanx", adapt.Config{}, planeLimits{Read: 2, Control: 2})
+	}), store, "titanx", adapt.Config{}, planeLimits{Read: 2, Control: 2}, nil)
 
 	for i := 0; i < cap(s.read.sem); i++ {
 		s.read.sem <- struct{}{}

@@ -99,21 +99,8 @@ func readSpoolFile(path string) (obs []Observation, truncAt int64, err error) {
 	if err != nil {
 		return nil, -1, fmt.Errorf("adapt: reading spool file: %w", err)
 	}
-	var off int64
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			return obs, off, nil
-		}
-		var o Observation
-		if json.Unmarshal(data[:nl], &o) != nil {
-			return obs, off, nil
-		}
-		obs = append(obs, o)
-		off += int64(nl + 1)
-		data = data[nl+1:]
-	}
-	return obs, -1, nil
+	obs, truncAt = scanJSONL[Observation](data)
+	return obs, truncAt, nil
 }
 
 // readAck reads the persisted ack offset (0 when absent or unreadable —

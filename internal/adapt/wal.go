@@ -233,21 +233,31 @@ func readSegment(path string) (recs []walRecord, truncAt int64, err error) {
 	if err != nil {
 		return nil, -1, fmt.Errorf("adapt: reading WAL segment %s: %w", path, err)
 	}
+	recs, truncAt = scanJSONL[walRecord](data)
+	return recs, truncAt, nil
+}
+
+// scanJSONL parses newline-terminated JSON records, the on-disk format of
+// both the WAL and the spool. It stops at the first record without a
+// newline (a torn tail) or that does not decode (a corrupt one) and
+// returns the byte offset the file must be cut at; truncAt is -1 when
+// every byte parsed.
+func scanJSONL[T any](data []byte) (recs []T, truncAt int64) {
 	var off int64
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
-			return recs, off, nil // torn tail: no newline
+			return recs, off
 		}
-		var rec walRecord
+		var rec T
 		if json.Unmarshal(data[:nl], &rec) != nil {
-			return recs, off, nil // corrupt record
+			return recs, off
 		}
 		recs = append(recs, rec)
 		off += int64(nl + 1)
 		data = data[nl+1:]
 	}
-	return recs, -1, nil
+	return recs, -1
 }
 
 // Recovered returns the replayed window (newest Capacity observations,

@@ -24,10 +24,34 @@ func MustParse(src string) *Program {
 	return prog
 }
 
+// maxDepth bounds the parser's recursion, so that deeply nested source
+// fails with ErrTooDeep instead of overflowing the goroutine stack, which
+// no recover can catch. Every recursion passes through parseStmt,
+// parseAssign, parseTernary or parseUnary, and each open call of the four
+// is one level: a nested statement or block adds one, a parenthesized
+// expression three. The deepest of the 106 training and 12 benchmark
+// kernels reaches 17.
+const maxDepth = 1000
+
+// ErrTooDeep is the parse error for source nested past the depth limit.
+var ErrTooDeep = fmt.Errorf("clkernel: nesting deeper than %d levels", maxDepth)
+
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int
 }
+
+// enter counts one level of nesting; the caller defers p.leave.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxDepth {
+		return ErrTooDeep
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
 func (p *parser) peek() Token { return p.toks[minIdx(p.pos+1, len(p.toks)-1)] }
@@ -227,6 +251,10 @@ func (p *parser) startsType() bool {
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch p.cur().Text {
 	case "{":
 		b, err := p.parseBlock()
@@ -478,6 +506,10 @@ var assignOps = map[string]bool{
 }
 
 func (p *parser) parseAssign() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	lhs, err := p.parseTernary()
 	if err != nil {
 		return nil, err
@@ -494,6 +526,10 @@ func (p *parser) parseAssign() (Expr, error) {
 }
 
 func (p *parser) parseTernary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	cond, err := p.parseBinary(0)
 	if err != nil {
 		return nil, err
@@ -550,6 +586,10 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	if t.Kind == TokPunct {
 		switch t.Text {

@@ -21,6 +21,7 @@ func TestGodocCoverage(t *testing.T) {
 		"../features",
 		"../freq",
 		"../gpu",
+		"../httpjson",
 		"../measure",
 		"../nvml",
 		"../pareto",

@@ -1,12 +1,10 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -347,26 +345,11 @@ func (a *Agent) installDoc(doc []byte, boot *BootstrapInfo) (registry.Manifest, 
 // that fails the content-hash check or the schema check is refused with
 // 409 Conflict and the currently serving snapshot keeps serving.
 func (a *Agent) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeWireError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
-	doc, err := io.ReadAll(io.LimitReader(r.Body, maxWireBody))
-	if err != nil {
-		writeWireError(w, http.StatusBadRequest, fmt.Errorf("reading snapshot: %v", err))
-		return
-	}
-	man, installed, err := a.InstallDoc(doc)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, registry.ErrCorrupt) || errors.Is(err, registry.ErrIncompatible) {
-			status = http.StatusConflict
-		}
-		writeWireError(w, status, err)
-		return
-	}
-	writeWire(w, http.StatusOK, SnapshotResponse{
-		Device: man.Device, Version: man.Version, Hash: man.Hash, Installed: installed,
+	serveInstall(w, r, func(doc []byte) (any, error) {
+		man, installed, err := a.InstallDoc(doc)
+		return SnapshotResponse{
+			Device: man.Device, Version: man.Version, Hash: man.Hash, Installed: installed,
+		}, err
 	})
 }
 
@@ -437,34 +420,12 @@ func (a *Agent) deliver(ctx context.Context, obs []adapt.Observation) (*ObserveR
 
 // postJSON POSTs v to the control plane and decodes the JSON response
 // into out, surfacing the control plane's {"error": ...} body on non-200.
+// The reply cap is maxWireBody: a register reply carries the snapshot.
 func (a *Agent) postJSON(ctx context.Context, path string, v, out any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
 	url := strings.TrimSuffix(a.cfg.Control, "/") + path
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := a.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer httpResp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(httpResp.Body, maxWireBody))
-	if err != nil {
-		return err
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return fmt.Errorf("fleet: control plane: %s", e.Error)
-		}
-		return fmt.Errorf("fleet: control plane: %s", httpResp.Status)
-	}
-	return json.Unmarshal(data, out)
+	return post(ctx, a.cfg.Client, url, body, maxWireBody, out, "fleet: control plane")
 }

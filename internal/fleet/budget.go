@@ -5,16 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/httpjson"
 	"repro/internal/policy"
 )
 
@@ -412,99 +411,25 @@ func (c *Control) Replan(ctx context.Context) (BudgetStatusResponse, error) {
 }
 
 // pushDecisions fans the current decision tables out to their nodes'
-// /fleet/decisions endpoints, reusing the snapshot push path's circuit
+// /fleet/decisions endpoints over the snapshot fan-out's path and circuit
 // breakers: a node whose breaker is open is skipped without contact and
 // converges by heartbeat (RegisterResponse.Decisions) or the breaker's
 // probe. Delivery updates the node's reported plan hash.
 func (c *Control) pushDecisions(ctx context.Context) PushReport {
-	report := PushReport{}
 	c.mu.Lock()
-	type target struct {
-		node, addr string
-		doc        []byte
-	}
-	var stale []target
+	var stale []pushTarget
 	for node, doc := range c.bud.docs {
 		ns := c.nodes[node]
 		t := c.bud.tables[node]
 		if ns == nil || t == nil || ns.info.Addr == "" || ns.info.Plan == t.Hash {
 			continue
 		}
-		stale = append(stale, target{node: node, addr: ns.info.Addr, doc: doc})
+		stale = append(stale, pushTarget{node: node, addr: ns.info.Addr, doc: doc})
 	}
 	c.mu.Unlock()
-
-	report.Targets = len(stale)
-	var contact []target
-	for _, t := range stale {
-		if c.breakers.Get(t.node).Allow() {
-			contact = append(contact, t)
-		} else {
-			report.Skipped++
-		}
-	}
-	type outcome struct {
-		node string
-		resp DecisionsResponse
-		err  error
-	}
-	results := make(chan outcome, len(contact))
-	for _, t := range contact {
-		go func(t target) {
-			resp, err := c.pushTableTo(ctx, t.addr, t.doc)
-			results <- outcome{node: t.node, resp: resp, err: err}
-		}(t)
-	}
-	for range contact {
-		o := <-results
-		c.breakers.Get(o.node).Record(o.err)
-		c.mu.Lock()
-		ns := c.nodes[o.node]
-		if ns != nil {
-			ns.info.Pushes++
-			if o.err != nil {
-				ns.info.PushErrors++
-				ns.info.LastError = o.err.Error()
-			} else {
-				ns.info.LastError = ""
-				ns.info.Plan = o.resp.Hash
-			}
-		}
-		c.mu.Unlock()
-		if o.err != nil {
-			report.Errors = append(report.Errors, fmt.Sprintf("%s: %v", o.node, o.err))
-		} else {
-			report.Pushed++
-		}
-	}
-	return report
-}
-
-// pushTableTo delivers one decision-table document to one agent.
-func (c *Control) pushTableTo(ctx context.Context, addr string, doc []byte) (DecisionsResponse, error) {
-	url := strings.TrimSuffix(addr, "/") + "/fleet/decisions"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(doc)))
-	if err != nil {
-		return DecisionsResponse{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return DecisionsResponse{}, err
-	}
-	defer httpResp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, 1<<20))
-	if err != nil {
-		return DecisionsResponse{}, err
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		return DecisionsResponse{}, fmt.Errorf("decisions push: %s: %s", httpResp.Status, strings.TrimSpace(string(body)))
-	}
-	var resp DecisionsResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return DecisionsResponse{}, fmt.Errorf("decisions push: decoding response: %v", err)
-	}
-	return resp, nil
+	return c.fanOut(ctx, "/fleet/decisions", "decisions push", stale, func(n *NodeInfo, ack pushAck) {
+		n.Plan = ack.Hash
+	})
 }
 
 // budgetHeartbeat completes a registration response with the node's
@@ -569,10 +494,10 @@ func (c *Control) BudgetStatus() BudgetStatusResponse {
 func (c *Control) HandleBudget(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeWire(w, http.StatusOK, c.BudgetStatus())
+		httpjson.Write(w, http.StatusOK, c.BudgetStatus())
 	case http.MethodPost:
 		var req BudgetRequest
-		if !readWire(w, r, &req) {
+		if !httpjson.Read(w, r, maxWireBody, &req) {
 			return
 		}
 		var (
@@ -585,7 +510,7 @@ func (c *Control) HandleBudget(w http.ResponseWriter, r *http.Request) {
 		case req.Replan:
 			resp, err = c.Replan(r.Context())
 		default:
-			writeWireError(w, http.StatusBadRequest, errors.New(`budget request needs "total" (set) or "replan": true`))
+			httpjson.Error(w, http.StatusBadRequest, `budget request needs "total" (set) or "replan": true`)
 			return
 		}
 		if err != nil {
@@ -593,12 +518,12 @@ func (c *Control) HandleBudget(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, ErrNoBudget) {
 				status = http.StatusConflict
 			}
-			writeWireError(w, status, err)
+			httpjson.Error(w, status, "%v", err)
 			return
 		}
-		writeWire(w, http.StatusOK, resp)
+		httpjson.Write(w, http.StatusOK, resp)
 	default:
-		writeWireError(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use GET or POST")
 	}
 }
 
@@ -656,32 +581,24 @@ func (a *Agent) HandleDecisions(w http.ResponseWriter, r *http.Request) {
 		doc := a.tableDoc
 		a.mu.Unlock()
 		if len(doc) == 0 {
-			writeWireError(w, http.StatusNotFound, errors.New("no decision table installed"))
+			httpjson.Error(w, http.StatusNotFound, "no decision table installed")
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(doc)
 	case http.MethodPost:
-		doc, err := io.ReadAll(io.LimitReader(r.Body, maxWireBody))
-		if err != nil {
-			writeWireError(w, http.StatusBadRequest, fmt.Errorf("reading decision table: %v", err))
-			return
-		}
-		t, installed, err := a.InstallTable(doc)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, budget.ErrBadTable) {
-				status = http.StatusConflict
+		serveInstall(w, r, func(doc []byte) (any, error) {
+			t, installed, err := a.InstallTable(doc)
+			if err != nil {
+				return nil, err
 			}
-			writeWireError(w, status, err)
-			return
-		}
-		writeWire(w, http.StatusOK, DecisionsResponse{
-			Node: t.Node, Device: t.Device, Hash: t.Hash,
-			Entries: len(t.Entries), Installed: installed,
+			return DecisionsResponse{
+				Node: t.Node, Device: t.Device, Hash: t.Hash,
+				Entries: len(t.Entries), Installed: installed,
+			}, nil
 		})
 	default:
-		writeWireError(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use GET or POST")
 	}
 }

@@ -31,12 +31,9 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -45,6 +42,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/features"
 	"repro/internal/gpu"
+	"repro/internal/httpjson"
 	"repro/internal/measure"
 	"repro/internal/nvml"
 	"repro/internal/registry"
@@ -509,61 +507,18 @@ func (c *Control) PushDevice(ctx context.Context, device string) PushReport {
 	}
 
 	c.mu.Lock()
-	var stale []NodeInfo
+	var stale []pushTarget
 	for _, ns := range c.nodes {
 		if ns.info.Device == device && ns.info.Hash != man.Hash && ns.info.Addr != "" {
-			stale = append(stale, ns.info)
+			stale = append(stale, pushTarget{node: ns.info.Node, addr: ns.info.Addr, doc: doc})
 		}
 	}
 	c.mu.Unlock()
 
-	// Targets counts every stale node considered; nodes whose breaker is
-	// open are skipped without contact so a dead agent never delays the
-	// healthy rest of the round. A skipped node still converges via its own
-	// heartbeat, or via the breaker's probe once the cool-down elapses.
-	report.Targets = len(stale)
-	var targets []NodeInfo
-	for _, n := range stale {
-		if c.breakers.Get(n.Node).Allow() {
-			targets = append(targets, n)
-		} else {
-			report.Skipped++
-		}
-	}
-	type outcome struct {
-		node string
-		resp SnapshotResponse
-		err  error
-	}
-	results := make(chan outcome, len(targets))
-	for _, n := range targets {
-		go func(n NodeInfo) {
-			resp, err := c.pushTo(ctx, n, doc)
-			results <- outcome{node: n.Node, resp: resp, err: err}
-		}(n)
-	}
-	for range targets {
-		o := <-results
-		c.breakers.Get(o.node).Record(o.err)
-		c.mu.Lock()
-		ns := c.nodes[o.node]
-		if ns != nil {
-			ns.info.Pushes++
-			if o.err != nil {
-				ns.info.PushErrors++
-				ns.info.LastError = o.err.Error()
-			} else {
-				ns.info.LastError = ""
-				ns.info.Version, ns.info.Hash = o.resp.Version, o.resp.Hash
-			}
-		}
-		c.mu.Unlock()
-		if o.err != nil {
-			report.Errors = append(report.Errors, fmt.Sprintf("%s: %v", o.node, o.err))
-		} else {
-			report.Pushed++
-		}
-	}
+	report = c.fanOut(ctx, "/fleet/snapshot", "push", stale, func(n *NodeInfo, ack pushAck) {
+		n.Version, n.Hash = ack.Version, ack.Hash
+	})
+	report.Device = device
 	return report
 }
 
@@ -587,118 +542,53 @@ func (c *Control) PushAll(ctx context.Context) PushReport {
 	return report
 }
 
-// pushTo delivers one snapshot document to one node's /fleet/snapshot.
-func (c *Control) pushTo(ctx context.Context, n NodeInfo, doc []byte) (SnapshotResponse, error) {
-	url := strings.TrimSuffix(n.Addr, "/") + "/fleet/snapshot"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(doc)))
-	if err != nil {
-		return SnapshotResponse{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return SnapshotResponse{}, err
-	}
-	defer httpResp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, 1<<20))
-	if err != nil {
-		return SnapshotResponse{}, err
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		return SnapshotResponse{}, fmt.Errorf("push: %s: %s", httpResp.Status, strings.TrimSpace(string(body)))
-	}
-	var resp SnapshotResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return SnapshotResponse{}, fmt.Errorf("push: decoding response: %v", err)
-	}
-	return resp, nil
-}
-
 // HandleRegister is the HTTP form of Register (POST /fleet/register).
 func (c *Control) HandleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !readWire(w, r, &req) {
+	if !httpjson.Read(w, r, maxWireBody, &req) {
 		return
 	}
 	resp, err := c.Register(req)
 	if err != nil {
-		writeWireError(w, http.StatusBadRequest, err)
+		httpjson.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeWire(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 // HandleObserve is the HTTP form of Observe (POST /fleet/observe).
 func (c *Control) HandleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
-	if !readWire(w, r, &req) {
+	if !httpjson.Read(w, r, maxWireBody, &req) {
 		return
 	}
 	if len(req.Observations) == 0 {
-		writeWireError(w, http.StatusBadRequest, errors.New("no observations in request"))
+		httpjson.Error(w, http.StatusBadRequest, "no observations in request")
 		return
 	}
 	resp, err := c.Observe(req)
 	if err != nil {
-		writeWireError(w, http.StatusBadRequest, err)
+		httpjson.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeWire(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 // HandleNodes is GET /fleet/nodes.
 func (c *Control) HandleNodes(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeWireError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeWire(w, http.StatusOK, NodesResponse{Nodes: c.Nodes()})
+	httpjson.Write(w, http.StatusOK, NodesResponse{Nodes: c.Nodes()})
 }
 
 // HandlePush is POST /fleet/push: re-fan-out every device's active
 // snapshot to its stale nodes.
 func (c *Control) HandlePush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeWireError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
+		httpjson.Error(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	writeWire(w, http.StatusOK, c.PushAll(r.Context()))
-}
-
-// readWire decodes a POSTed JSON body with the same strictness and error
-// shape as the daemon's endpoints; it writes the error response itself and
-// reports whether decoding succeeded.
-func readWire(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		writeWireError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return false
-	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxWireBody))
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			writeWireError(w, http.StatusBadRequest, errors.New("empty request body"))
-		} else {
-			writeWireError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
-		}
-		return false
-	}
-	if dec.More() {
-		writeWireError(w, http.StatusBadRequest, errors.New("bad request body: trailing data after the JSON document"))
-		return false
-	}
-	return true
-}
-
-// writeWire writes a JSON response in the daemon's format.
-func writeWire(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeWireError writes the daemon's structured {"error": ...} shape.
-func writeWireError(w http.ResponseWriter, status int, err error) {
-	writeWire(w, status, map[string]string{"error": err.Error()})
+	httpjson.Write(w, http.StatusOK, c.PushAll(r.Context()))
 }
