@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/features"
 	"repro/internal/freq"
 	"repro/internal/gpu"
 	"repro/internal/measure"
@@ -441,7 +442,10 @@ func BenchmarkEnginePredictBatch(b *testing.B) {
 	}
 	models := eng.Models()
 	ladder := eng.Harness().Device().Sim().Ladder
-	sts := bench.AllFeatures()
+	var sts []features.Static
+	for _, k := range bench.All() {
+		sts = append(sts, k.Features())
+	}
 	p := engine.NewPredictor(models, ladder, engine.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	freqbench [-exp fig1|fig4|fig5|fig6|fig7|fig8|table2|policy|budget|p100|adapt|hotpath|all] [-settings 40] [-workers 0]
+//	freqbench [-exp fig1|fig4|fig5|fig6|fig7|fig8|table2|policy|budget|p100|adapt|all] [-settings 40] [-workers 0]
 //	          [-model-dir DIR]
 //
 // fig6/fig7/fig8/table2 train the models on the full 106-micro-benchmark
@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig1, fig4, fig5, fig6, fig7, fig8, table2, policy, budget, p100, adapt, hotpath, all")
+	exp := flag.String("exp", "all", "experiment: fig1, fig4, fig5, fig6, fig7, fig8, table2, policy, budget, p100, adapt, all")
 	settings := flag.Int("settings", 40, "sampled frequency settings per training kernel")
 	workers := flag.Int("workers", 0, "training/prediction worker pool size (0 = NumCPU)")
 	modelDir := flag.String("model-dir", "", "model registry directory (use the active titanx snapshot instead of training)")
@@ -120,12 +120,6 @@ func run(s *experiments.Suite, exp string) error {
 			return err
 		}
 		experiments.RenderPortability(w, r)
-	case "hotpath":
-		rep, err := s.HotPath()
-		if err != nil {
-			return err
-		}
-		experiments.RenderHotPath(w, rep)
 	case "adapt":
 		// A fresh suite on the same engine options (workers included): the
 		// drift-recovery run hot-swaps models and must not disturb the
@@ -136,7 +130,7 @@ func run(s *experiments.Suite, exp string) error {
 		}
 		experiments.RenderAdaptReport(w, rep)
 	case "all":
-		for _, e := range []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "policy", "budget", "hotpath", "adapt"} {
+		for _, e := range []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "policy", "budget", "adapt"} {
 			if err := run(s, e); err != nil {
 				return err
 			}

@@ -50,17 +50,6 @@ func (b *Benchmark) Features() features.Static {
 	return features.Extract(b.Program().Kernel(b.KernelName), b.Program())
 }
 
-// AllFeatures extracts the static feature vectors of every test benchmark,
-// in Names() order — the natural input of a batch prediction request.
-func AllFeatures() []features.Static {
-	bs := All()
-	out := make([]features.Static, len(bs))
-	for i, b := range bs {
-		out[i] = b.Features()
-	}
-	return out
-}
-
 // Profile derives the simulator execution profile.
 func (b *Benchmark) Profile() gpu.KernelProfile {
 	counts := clkernel.Count(b.Program().Kernel(b.KernelName), b.Program(), clkernel.Weighted)

@@ -212,7 +212,7 @@ func TestRuntimesReasonable(t *testing.T) {
 	// the same way as on the real board.
 	d := gpu.TitanX()
 	for _, b := range All() {
-		r, err := d.SimulateDefault(b.Profile())
+		r, err := d.Simulate(b.Profile(), d.Ladder.Default())
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

@@ -61,15 +61,6 @@ func (c Counts) Total() float64 {
 	return t
 }
 
-// FeatureTotal returns the sum over the ten feature classes only.
-func (c Counts) FeatureTotal() float64 {
-	t := 0.0
-	for i := 0; i < NumFeatureClasses; i++ {
-		t += c.Ops[i]
-	}
-	return t
-}
-
 func (c *Counts) add(cl OpClass, w float64) { c.Ops[cl] += w }
 
 func (c *Counts) merge(o Counts, w float64) {
@@ -108,16 +99,6 @@ func Count(fn *Function, prog *Program, mode Mode) Counts {
 		inFly:   map[string]bool{},
 	}
 	return c.function(fn)
-}
-
-// CountKernel parses nothing; it counts the single kernel named name in
-// prog. It panics if the kernel does not exist (fixed embedded sources).
-func CountKernel(prog *Program, name string, mode Mode) Counts {
-	k := prog.Kernel(name)
-	if k == nil {
-		panic("clkernel: no kernel named " + name)
-	}
-	return Count(k, prog, mode)
 }
 
 type counter struct {

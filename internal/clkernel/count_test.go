@@ -281,8 +281,12 @@ func TestAtomicsAndVload(t *testing.T) {
 func TestCountsTotals(t *testing.T) {
 	src := simpleKernel
 	c := countSrc(t, src, Static)
-	if c.Total() < c.FeatureTotal() {
-		t.Errorf("Total %v < FeatureTotal %v", c.Total(), c.FeatureTotal())
+	featureTotal := 0.0
+	for i := 0; i < NumFeatureClasses; i++ {
+		featureTotal += c.Ops[i]
+	}
+	if c.Total() < featureTotal {
+		t.Errorf("Total %v < feature-class total %v", c.Total(), featureTotal)
 	}
 	if c.Total() <= 0 {
 		t.Errorf("Total = %v, want > 0", c.Total())
@@ -291,16 +295,13 @@ func TestCountsTotals(t *testing.T) {
 
 func TestCountKernelByName(t *testing.T) {
 	prog := MustParse(simpleKernel)
-	c := CountKernel(prog, "add", Static)
+	c := Count(prog.Kernel("add"), prog, Static)
 	if c.Ops[OpGlobalAccess] != 3 { // 2 loads + 1 store
 		t.Errorf("gl_access = %v, want 3", c.Ops[OpGlobalAccess])
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("CountKernel with unknown name did not panic")
-		}
-	}()
-	CountKernel(prog, "missing", Static)
+	if prog.Kernel("missing") != nil {
+		t.Error("lookup of an unknown kernel name returned a kernel")
+	}
 }
 
 func TestOpClassString(t *testing.T) {

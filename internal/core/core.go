@@ -12,7 +12,9 @@
 // the kernel is never executed. Both models are evaluated at every supported
 // frequency configuration of the three highest memory clocks, the paper's
 // Algorithm 1 derives the Pareto set, and the mem-L heuristic appends the
-// highest-core configuration of the lowest memory clock (Section 4.5).
+// highest-core configuration of the lowest memory clock (Section 4.5). This
+// package holds those rules as pure functions (ExcludeMemL, ParetoFront,
+// MemLHeuristicConfig); internal/engine's Predictor applies them.
 package core
 
 import (
@@ -295,72 +297,13 @@ type Prediction struct {
 	MemLHeuristic bool `json:"mem_l_heuristic,omitempty"`
 }
 
-// Predictor evaluates trained models over a device's frequency domain.
+// Predictor pairs trained models with the frequency ladder they predict
+// over. It has no behaviour of its own: the prediction phase (the ladder
+// sweep, the Pareto set and the mem-L point) is engine.Predictor, built on
+// the rules below.
 type Predictor struct {
 	Models *Models
 	Ladder *freq.Ladder
-}
-
-// NewPredictor binds models to a frequency ladder.
-func NewPredictor(m *Models, ladder *freq.Ladder) *Predictor {
-	return &Predictor{Models: m, Ladder: ladder}
-}
-
-// ModeledMems returns the memory clocks the models are applied to during
-// Pareto prediction: all but the lowest (mem-L is excluded and handled by
-// the heuristic; Section 4.5).
-func (p *Predictor) ModeledMems() []freq.MHz {
-	mems := p.Ladder.MemClocks()
-	if len(mems) <= 1 {
-		return mems
-	}
-	// MemClocks is descending; drop the last (lowest).
-	return mems[:len(mems)-1]
-}
-
-// PredictConfig predicts both objectives for one configuration.
-func (p *Predictor) PredictConfig(st features.Static, cfg freq.Config) Prediction {
-	v := features.Combine(st, cfg).Slice()
-	return Prediction{
-		Config:     cfg,
-		Speedup:    p.Models.Speedup.Predict(v),
-		NormEnergy: p.Models.Energy.Predict(v),
-	}
-}
-
-// PredictAll predicts both objectives at every supported configuration of
-// the given memory clocks (nil = the modeled clocks: all but mem-L).
-func (p *Predictor) PredictAll(st features.Static, mems []freq.MHz) []Prediction {
-	if mems == nil {
-		mems = p.ModeledMems()
-	}
-	var out []Prediction
-	for _, m := range mems {
-		for _, c := range p.Ladder.CoreClocks(m) {
-			out = append(out, p.PredictConfig(st, freq.Config{Mem: m, Core: c}))
-		}
-	}
-	return out
-}
-
-// ParetoSet predicts the Pareto-optimal frequency configurations for a
-// kernel given only its static features (prediction-phase steps 1–9 of
-// Fig. 3): model predictions over the three highest memory clocks, the
-// paper's Algorithm 1, plus the mem-L heuristic configuration.
-func (p *Predictor) ParetoSet(st features.Static) []Prediction {
-	return p.paretoOf(st, p.PredictAll(st, nil))
-}
-
-// ParetoSetOver is ParetoSet restricted to the given candidate
-// configurations (e.g. the 40-setting evaluation sample the paper uses).
-// Lowest-memory-clock candidates are excluded from modeling, as in
-// ParetoSet, and replaced by the mem-L heuristic configuration.
-func (p *Predictor) ParetoSetOver(st features.Static, cfgs []freq.Config) []Prediction {
-	var preds []Prediction
-	for _, cfg := range ExcludeMemL(p.Ladder, cfgs) {
-		preds = append(preds, p.PredictConfig(st, cfg))
-	}
-	return p.paretoOf(st, preds)
 }
 
 // ExcludeMemL drops lowest-memory-clock candidates when the ladder has more
@@ -378,14 +321,6 @@ func ExcludeMemL(ladder *freq.Ladder, cfgs []freq.Config) []freq.Config {
 			continue
 		}
 		out = append(out, cfg)
-	}
-	return out
-}
-
-func (p *Predictor) paretoOf(st features.Static, preds []Prediction) []Prediction {
-	out := ParetoFront(preds)
-	if heur, ok := p.MemLHeuristic(st); ok {
-		out = append(out, heur)
 	}
 	return out
 }
@@ -422,30 +357,6 @@ func MemLHeuristicConfig(ladder *freq.Ladder) (freq.Config, bool) {
 		return freq.Config{}, false
 	}
 	return freq.Config{Mem: low, Core: cores[len(cores)-1]}, true
-}
-
-// MemLHeuristic returns the highest-core configuration of the lowest memory
-// clock, flagged as heuristic, with model-extrapolated objective values
-// attached for reference. ok is false when the ladder has a single memory
-// clock (e.g. the P100).
-func (p *Predictor) MemLHeuristic(st features.Static) (Prediction, bool) {
-	cfg, ok := MemLHeuristicConfig(p.Ladder)
-	if !ok {
-		return Prediction{}, false
-	}
-	pr := p.PredictConfig(st, cfg)
-	pr.MemLHeuristic = true
-	return pr, true
-}
-
-// PredictSource is the end-to-end prediction entry point: parse OpenCL
-// source, extract static features, and predict the Pareto set.
-func (p *Predictor) PredictSource(src, kernelName string) ([]Prediction, error) {
-	st, err := features.ExtractSource(src, kernelName)
-	if err != nil {
-		return nil, err
-	}
-	return p.ParetoSet(st), nil
 }
 
 // modelsJSON is the serialized form of Models.

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/features"
 	"repro/internal/freq"
 	"repro/internal/gpu"
@@ -18,10 +20,10 @@ import (
 )
 
 // Adapt converts synth benchmarks to training kernels.
-func adapt(bs []synth.Benchmark) []TrainingKernel {
-	out := make([]TrainingKernel, len(bs))
+func adapt(bs []synth.Benchmark) []core.TrainingKernel {
+	out := make([]core.TrainingKernel, len(bs))
 	for i := range bs {
-		out[i] = TrainingKernel{
+		out[i] = core.TrainingKernel{
 			Name:     bs[i].Name,
 			Features: bs[i].Features(),
 			Profile:  bs[i].Profile(),
@@ -32,7 +34,7 @@ func adapt(bs []synth.Benchmark) []TrainingKernel {
 
 // trainSmall trains on a reduced setup (every 2nd micro-benchmark, 16
 // settings) to keep unit tests fast; benches exercise the full 106×40.
-func trainSmall(t *testing.T) (*Models, *measure.Harness) {
+func trainSmall(t *testing.T) (*core.Models, *measure.Harness) {
 	t.Helper()
 	h := measure.NewHarness(nvml.NewDevice(gpu.TitanX()))
 	all := synth.Generate()
@@ -42,21 +44,21 @@ func trainSmall(t *testing.T) (*Models, *measure.Harness) {
 			subset = append(subset, all[i])
 		}
 	}
-	samples, err := BuildTrainingSet(h, adapt(subset), Options{SettingsPerKernel: 16})
+	samples, err := core.BuildTrainingSet(h, adapt(subset), core.Options{SettingsPerKernel: 16})
 	if err != nil {
 		t.Fatalf("BuildTrainingSet: %v", err)
 	}
-	models, err := Train(samples, Options{})
+	models, err := core.Train(samples, core.Options{})
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	return models, h
 }
 
-var cachedModels *Models
+var cachedModels *core.Models
 var cachedHarness *measure.Harness
 
-func sharedModels(t *testing.T) (*Models, *measure.Harness) {
+func sharedModels(t *testing.T) (*core.Models, *measure.Harness) {
 	t.Helper()
 	if cachedModels == nil {
 		cachedModels, cachedHarness = trainSmall(t)
@@ -67,7 +69,7 @@ func sharedModels(t *testing.T) (*Models, *measure.Harness) {
 func TestBuildTrainingSetShape(t *testing.T) {
 	h := measure.NewHarness(nvml.NewDevice(gpu.TitanX()))
 	bs := synth.Generate()[:3]
-	samples, err := BuildTrainingSet(h, adapt(bs), Options{SettingsPerKernel: 10})
+	samples, err := core.BuildTrainingSet(h, adapt(bs), core.Options{SettingsPerKernel: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestPaperTrainingSetSize(t *testing.T) {
 
 func TestTrainedModelsPredictSensibly(t *testing.T) {
 	models, h := sharedModels(t)
-	pred := NewPredictor(models, h.Device().Sim().Ladder)
+	pred := engine.NewPredictor(models, h.Device().Sim().Ladder, engine.Options{})
 
 	// A compute-heavy unseen kernel: predicted speedup must grow with the
 	// core clock at the highest memory clock.
@@ -136,7 +138,7 @@ func TestSpeedupAccuracyOnUnseenKernels(t *testing.T) {
 	// End-to-end accuracy check mirroring Fig. 6: on the high memory
 	// clocks the speedup RMSE over the test benchmarks must be small.
 	models, h := sharedModels(t)
-	pred := NewPredictor(models, h.Device().Sim().Ladder)
+	pred := engine.NewPredictor(models, h.Device().Sim().Ladder, engine.Options{})
 	var se []float64
 	for _, name := range []string{"k-NN", "MT", "MatrixMultiply", "Blackscholes"} {
 		b, err := bench.ByName(name)
@@ -178,7 +180,7 @@ func TestSpeedupAccuracyOnUnseenKernels(t *testing.T) {
 
 func TestParetoSetProperties(t *testing.T) {
 	models, h := sharedModels(t)
-	pred := NewPredictor(models, h.Device().Sim().Ladder)
+	pred := engine.NewPredictor(models, h.Device().Sim().Ladder, engine.Options{})
 	b, err := bench.ByName("Convolution")
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +237,7 @@ func TestParetoFrontMatchesSimple(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		n := 5 + trial*7
-		preds := make([]Prediction, n)
+		preds := make([]core.Prediction, n)
 		for i := range preds {
 			// Quantize some coordinates so ties and duplicates occur.
 			s := next()
@@ -244,13 +246,13 @@ func TestParetoFrontMatchesSimple(t *testing.T) {
 				s = math.Round(s*8) / 8
 				e = math.Round(e*8) / 8
 			}
-			preds[i] = Prediction{
+			preds[i] = core.Prediction{
 				Config:     freq.Config{Mem: freq.MHz(i), Core: freq.MHz(i)},
 				Speedup:    0.2 + s,
 				NormEnergy: 0.6 + e,
 			}
 		}
-		got := ParetoFront(preds)
+		got := core.ParetoFront(preds)
 
 		pts := make([]pareto.Point, n)
 		for i, pr := range preds {
@@ -274,7 +276,7 @@ func TestParetoFrontMatchesSimple(t *testing.T) {
 
 func TestPredictSource(t *testing.T) {
 	models, h := sharedModels(t)
-	pred := NewPredictor(models, h.Device().Sim().Ladder)
+	pred := engine.NewPredictor(models, h.Device().Sim().Ladder, engine.Options{})
 	src := `__kernel void saxpy(__global float* x, __global float* y, float a, int n) {
 	    int i = get_global_id(0);
 	    if (i < n) { y[i] = a * x[i] + y[i]; }
@@ -297,7 +299,7 @@ func TestModelsSaveLoadRoundTrip(t *testing.T) {
 	if err := models.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := core.Load(&buf)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -305,8 +307,8 @@ func TestModelsSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := NewPredictor(models, h.Device().Sim().Ladder)
-	p2 := NewPredictor(loaded, h.Device().Sim().Ladder)
+	p1 := engine.NewPredictor(models, h.Device().Sim().Ladder, engine.Options{})
+	p2 := engine.NewPredictor(loaded, h.Device().Sim().Ladder, engine.Options{})
 	cfg := freq.Config{Mem: freq.MemH, Core: 1001}
 	a, b := p1.PredictConfig(st, cfg), p2.PredictConfig(st, cfg)
 	if math.Abs(a.Speedup-b.Speedup) > 1e-9 || math.Abs(a.NormEnergy-b.NormEnergy) > 1e-9 {
@@ -315,22 +317,22 @@ func TestModelsSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json")); err == nil {
+	if _, err := core.Load(strings.NewReader("not json")); err == nil {
 		t.Error("expected decode error")
 	}
-	if _, err := Load(strings.NewReader(`{"speedup": {"kernel":{"type":"x"}}, "energy": null}`)); err == nil {
+	if _, err := core.Load(strings.NewReader(`{"speedup": {"kernel":{"type":"x"}}, "energy": null}`)); err == nil {
 		t.Error("expected kernel error")
 	}
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, err := Train(nil, Options{}); err == nil {
+	if _, err := core.Train(nil, core.Options{}); err == nil {
 		t.Error("Train(nil) should fail")
 	}
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.WithDefaults()
+	o := core.Options{}.WithDefaults()
 	if o.SettingsPerKernel != 40 {
 		t.Errorf("SettingsPerKernel = %d, want 40", o.SettingsPerKernel)
 	}
@@ -349,7 +351,7 @@ func TestOptionsDefaults(t *testing.T) {
 func TestP100PredictorNoHeuristic(t *testing.T) {
 	// On a single-memory-clock device the mem-L heuristic must not fire.
 	models, _ := sharedModels(t)
-	pred := NewPredictor(models, freq.P100())
+	pred := engine.NewPredictor(models, freq.P100(), engine.Options{})
 	st, err := features.ExtractSource(`__kernel void k(__global float* o) { o[0] = 1.0f; }`, "")
 	if err != nil {
 		t.Fatal(err)
@@ -365,17 +367,17 @@ func TestP100PredictorNoHeuristic(t *testing.T) {
 func TestResidualRMSE(t *testing.T) {
 	// Empty input is defined as zero.
 	models, h := sharedModels(t)
-	if s, e := ResidualRMSE(models, nil); s != 0 || e != 0 {
+	if s, e := core.ResidualRMSE(models, nil); s != 0 || e != 0 {
 		t.Errorf("ResidualRMSE(nil) = (%g, %g), want zeros", s, e)
 	}
 	// On its own training distribution the residuals are positive (the
 	// ε-tube admits errors) but bounded well below the prediction range.
 	bs := synth.Generate()[:4]
-	samples, err := BuildTrainingSet(h.Clone(), adapt(bs), Options{SettingsPerKernel: 10})
+	samples, err := core.BuildTrainingSet(h.Clone(), adapt(bs), core.Options{SettingsPerKernel: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, e := ResidualRMSE(models, samples)
+	s, e := core.ResidualRMSE(models, samples)
 	if s <= 0 || e <= 0 {
 		t.Errorf("residuals = (%g, %g), want positive", s, e)
 	}

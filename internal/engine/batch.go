@@ -78,8 +78,8 @@ func (s *BatchScratch) ensure(nKernels, stride int) {
 // through the columnar fast path: one flat feature matrix over the modeled
 // ladder (plus the mem-L heuristic row per kernel), one PredictBatchInto
 // call per model across the whole batch, and in-place per-kernel front
-// derivation. The result is index-aligned with sts and semantically
-// identical to calling ParetoSet per kernel (pinned by the engine tests).
+// derivation. The result is index-aligned with sts and equal, values and
+// order, to calling ParetoSet per kernel (pinned by the engine tests).
 //
 // A batch recomputes its rows unconditionally, and every returned slice
 // aliases the scratch: results are valid only until the scratch is reused or
@@ -125,7 +125,7 @@ func (p *Predictor) PredictFrontsInto(s *BatchScratch, sts []features.Static) []
 		m := frontInPlace(seg[:nCfg])
 		if p.hasMemL {
 			// The heuristic row rides after the modeled grid; move it to
-			// just past the compacted front, matching paretoOf's contract.
+			// just past the compacted front, matching FrontOf's contract.
 			seg[m] = core.Prediction{
 				Config:        p.memLCfg,
 				Speedup:       s.speedup[base+nCfg],

@@ -5,10 +5,11 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/freq"
 )
 
 // sortPreds normalizes a prediction set into a canonical order so fronts
@@ -32,40 +33,72 @@ func sortPreds(ps []core.Prediction) []core.Prediction {
 	return out
 }
 
+// TestPredictFrontsIntoMatchesParetoSet pins both batch paths to the
+// per-kernel sweep exactly, values and order, on a device with the mem-L
+// point (Titan X) and one without (P100), over the 12 test benchmarks and
+// the 106 training kernels.
 func TestPredictFrontsIntoMatchesParetoSet(t *testing.T) {
 	e, kernels := testEngine(t, 4)
-	if _, err := e.Train(context.Background(), kernels); err != nil {
+	models, err := e.Train(context.Background(), kernels)
+	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	p, err := e.Predictor()
-	if err != nil {
-		t.Fatalf("Predictor: %v", err)
+	sts := benchFeatures()
+	for _, k := range TrainingKernels() {
+		sts = append(sts, k.Features)
 	}
+	for _, dev := range []struct {
+		name   string
+		ladder *freq.Ladder
+		memL   bool
+	}{
+		{"titanx", e.Harness().Device().Sim().Ladder, true},
+		{"p100", freq.P100(), false},
+	} {
+		p := NewPredictor(models, dev.ladder, Options{Workers: 4})
+		want := make([][]core.Prediction, len(sts))
+		for i, st := range sts {
+			want[i] = p.ParetoSet(st)
+			if last := want[i][len(want[i])-1]; last.MemLHeuristic != dev.memL {
+				t.Fatalf("%s kernel %d: last point %+v, mem-L heuristic want %v", dev.name, i, last, dev.memL)
+			}
+		}
+		checkFronts := func(path string, got, want [][]core.Prediction) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s %s: %d fronts for %d kernels", dev.name, path, len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%s %s kernel %d disagrees with ParetoSet:\n got %v\nwant %v", dev.name, path, i, got[i], want[i])
+				}
+			}
+		}
 
-	sts := bench.AllFeatures()
-	scratch := GetBatchScratch()
-	defer PutBatchScratch(scratch)
-	fronts := p.PredictFrontsInto(scratch, sts)
-	if len(fronts) != len(sts) {
-		t.Fatalf("got %d fronts for %d kernels", len(fronts), len(sts))
-	}
-	for i, st := range sts {
-		want := p.ParetoSet(st)
-		if !reflect.DeepEqual(sortPreds(fronts[i]), sortPreds(want)) {
-			t.Errorf("kernel %d: batch front disagrees with ParetoSet:\n got %v\nwant %v", i, fronts[i], want)
-		}
-		if last := fronts[i][len(fronts[i])-1]; !last.MemLHeuristic {
-			t.Errorf("kernel %d: last prediction %+v is not the mem-L heuristic", i, last)
-		}
-	}
+		scratch := GetBatchScratch()
+		checkFronts("PredictFrontsInto", p.PredictFrontsInto(scratch, sts), want)
+		// Reusing the scratch for a different batch must not corrupt results.
+		checkFronts("PredictFrontsInto reuse", p.PredictFrontsInto(scratch, sts[:4]), want[:4])
+		PutBatchScratch(scratch)
 
-	// Reusing the scratch for a different batch must not corrupt results.
-	again := p.PredictFrontsInto(scratch, sts[:4])
-	for i := range again {
-		want := p.ParetoSet(sts[i])
-		if !reflect.DeepEqual(sortPreds(again[i]), sortPreds(want)) {
-			t.Errorf("reuse kernel %d: batch front disagrees with ParetoSet", i)
+		got, err := p.PredictBatch(context.Background(), sts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkFronts("PredictBatch", got, want)
+		// PredictBatch's fronts belong to the caller: a second batch, which
+		// reuses the pooled scratch, must neither see a mutation of them
+		// nor overwrite them.
+		got[0][0].Speedup = -1
+		again, err := p.PredictBatch(context.Background(), sts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFronts("PredictBatch rerun", again, want)
+		if got[0][0].Speedup != -1 {
+			t.Fatalf("%s: a later PredictBatch overwrote an earlier result", dev.name)
+		}
+		checkFronts("PredictBatch after rerun", got[1:], want[1:])
 	}
 }
 
@@ -106,8 +139,8 @@ func TestPredictFrontsIntoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Predictor: %v", err)
 	}
-	sts := bench.AllFeatures()[:1]
-	if rows := len(sts) * (len(p.modeledConfigs()) + 1); rows >= 256 {
+	sts := benchFeatures()[:1]
+	if rows := len(sts) * (len(p.cfgs) + 1); rows >= 256 {
 		t.Skipf("batch of %d rows exceeds the sequential threshold", rows)
 	}
 	scratch := GetBatchScratch()
@@ -122,5 +155,66 @@ func TestPredictFrontsIntoAllocs(t *testing.T) {
 		t.Fatalf("steady-state batch path allocates %.1f times per run, want 0", allocs)
 	}
 	_ = sink
-	_ = features.Dim
+}
+
+// BenchmarkColumnarVsSweep is the columnar batch's speed check, run by the
+// CI bench job. It derives the fronts of the 106 training kernels three
+// ways: one PredictFrontsInto call, one PredictBatch call, and 106
+// ParetoSet calls. All three run the same RBF math, so the batch paths win
+// only by sharding whole-batch model evaluation, a margin too thin to assert
+// on a loaded test runner. It reports ns per kernel for each and fails when
+// either batch path is not cheaper per kernel than the per-kernel sweep.
+func BenchmarkColumnarVsSweep(b *testing.B) {
+	e := NewDefault(Options{Core: core.Options{SettingsPerKernel: 12}})
+	kernels := TrainingKernels()
+	if _, err := e.Train(context.Background(), kernels); err != nil {
+		b.Fatal(err)
+	}
+	p, err := e.Predictor()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sts := make([]features.Static, len(kernels))
+	for i, k := range kernels {
+		sts[i] = k.Features
+	}
+	// nsPerKernel runs f, which derives every kernel's front once, for at
+	// least a fixed wall-clock budget after one warm-up call.
+	nsPerKernel := func(f func()) float64 {
+		const budget = 250 * time.Millisecond
+		f()
+		var elapsed time.Duration
+		calls := 0
+		for elapsed < budget {
+			start := time.Now()
+			f()
+			elapsed += time.Since(start)
+			calls++
+		}
+		return float64(elapsed.Nanoseconds()) / float64(calls*len(sts))
+	}
+	scratch := GetBatchScratch()
+	defer PutBatchScratch(scratch)
+	var columnar, batch, sweep float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		columnar = nsPerKernel(func() { p.PredictFrontsInto(scratch, sts) })
+		batch = nsPerKernel(func() {
+			if _, err := p.PredictBatch(context.Background(), sts); err != nil {
+				b.Fatal(err)
+			}
+		})
+		sweep = nsPerKernel(func() {
+			for _, st := range sts {
+				p.ParetoSet(st)
+			}
+		})
+	}
+	b.ReportMetric(columnar, "columnar-ns/kernel")
+	b.ReportMetric(batch, "batch-ns/kernel")
+	b.ReportMetric(sweep, "sweep-ns/kernel")
+	if columnar >= sweep || batch >= sweep {
+		b.Fatalf("batch paths (columnar %.0f, PredictBatch %.0f ns/kernel) not cheaper than the per-kernel sweep (%.0f ns/kernel)",
+			columnar, batch, sweep)
+	}
 }

@@ -9,11 +9,13 @@
 //     harness clone, and the two ε-SVR fits — which share inputs but no
 //     state — run concurrently. Construction is context-aware, so an
 //     in-flight training run can be cancelled.
-//   - Prediction: a Predictor facade with batch prediction over many
-//     kernels, parallel evaluation of the frequency ladder, and a columnar
-//     batch path (PredictFrontsInto). The engine caches no predictions:
-//     repeated kernels are served from the policy governor's per-kernel
-//     front memo (the publish-time front table plus its sweep LRU).
+//   - Prediction: the Predictor is the paper's prediction phase, the one
+//     place models and static features become a Pareto set. One kernel's
+//     ladder sweep is split across the worker pool; many kernels go
+//     through the columnar batch path (PredictFrontsInto, under
+//     PredictBatch). The engine caches no predictions: repeated kernels are
+//     served from the policy governor's per-kernel front memo (the
+//     publish-time front table plus its sweep LRU).
 //
 // Sharding is per training kernel on a fresh harness clone, which makes the
 // assembled training set deterministic and independent of the worker count
@@ -41,8 +43,8 @@ var ErrNotTrained = errors.New("engine: no trained models (run Train or SetModel
 
 // Options configures the engine. Zero values select sensible defaults.
 type Options struct {
-	// Workers sizes the worker pool for training-set construction, ladder
-	// sweeps, and batch prediction. <= 0 selects runtime.GOMAXPROCS(0).
+	// Workers sizes the worker pool for training-set construction and
+	// single-kernel ladder sweeps. <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
 	// Core carries the training options through to the model layer
 	// (settings per kernel, SVR kernels, hyper-parameters).

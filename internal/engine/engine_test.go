@@ -11,6 +11,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/clkernel"
 	"repro/internal/core"
+	"repro/internal/features"
+	"repro/internal/freq"
 	"repro/internal/gpu"
 )
 
@@ -63,17 +65,20 @@ func TestTrainAndPredictViaEngine(t *testing.T) {
 	if models.Speedup.NumSV() == 0 || models.Energy.NumSV() == 0 {
 		t.Fatal("trained models have no support vectors")
 	}
-	p, err := e.Predictor()
-	if err != nil {
+	if _, err := e.Predictor(); err != nil {
 		t.Fatalf("Predictor: %v", err)
 	}
 
-	// The cached facade must agree with the uncached core predictor.
-	st := bench.AllFeatures()[0]
-	want := core.NewPredictor(models, e.Harness().Device().Sim().Ladder).ParetoSet(st)
-	got := p.ParetoSet(st)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("engine ParetoSet disagrees with core:\n got %v\nwant %v", got, want)
+	// The parallel sweep must agree with the sequential one and with the
+	// rules applied to direct model evaluations.
+	st := benchFeatures()[0]
+	ladder := e.Harness().Device().Sim().Ladder
+	got := NewPredictor(models, ladder, Options{Workers: 8}).ParetoSet(st)
+	if seq := NewPredictor(models, ladder, Options{Workers: 1}).ParetoSet(st); !reflect.DeepEqual(got, seq) {
+		t.Fatalf("parallel ParetoSet disagrees with sequential:\n got %v\nwant %v", got, seq)
+	}
+	if want := referenceParetoSet(models, ladder, st); !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine ParetoSet disagrees with the reference:\n got %v\nwant %v", got, want)
 	}
 	if last := got[len(got)-1]; !last.MemLHeuristic {
 		t.Fatalf("last prediction %+v is not the mem-L heuristic", last)
@@ -91,7 +96,7 @@ func TestConcurrentPredictBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sts := bench.AllFeatures()
+	sts := benchFeatures()
 	want, err := p.PredictBatch(context.Background(), sts)
 	if err != nil {
 		t.Fatal(err)
@@ -202,37 +207,48 @@ func TestPredictBatchCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A context cancelled before the call returns its error and no result;
+	// a batch that has started runs to the end, so a live context gets
+	// every front.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.PredictBatch(ctx, bench.AllFeatures()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PredictBatch on cancelled ctx: err = %v, want context.Canceled", err)
+	if sets, err := p.PredictBatch(ctx, benchFeatures()); !errors.Is(err, context.Canceled) || sets != nil {
+		t.Fatalf("PredictBatch on cancelled ctx = %d sets, err %v; want none, context.Canceled", len(sets), err)
+	}
+	sets, err := p.PredictBatch(context.Background(), benchFeatures())
+	if err != nil || len(sets) != len(bench.All()) {
+		t.Fatalf("PredictBatch = %d sets, err %v; want %d", len(sets), err, len(bench.All()))
 	}
 }
 
-func TestPredictSourceMatchesCore(t *testing.T) {
-	e, kernels := testEngine(t, 4)
-	models, err := e.Train(context.Background(), kernels)
-	if err != nil {
-		t.Fatal(err)
+// benchFeatures returns the static features of the 12 test benchmarks, in
+// bench.All order.
+func benchFeatures() []features.Static {
+	bs := bench.All()
+	out := make([]features.Static, len(bs))
+	for i, b := range bs {
+		out[i] = b.Features()
 	}
-	p, err := e.Predictor()
-	if err != nil {
-		t.Fatal(err)
+	return out
+}
+
+// referenceParetoSet derives a kernel's Pareto set sequentially from direct
+// svm evaluations on features.Combine rows and the rules in core: the
+// oracle the engine's sweeps are checked against.
+func referenceParetoSet(m *core.Models, ladder *freq.Ladder, st features.Static) []core.Prediction {
+	predict := func(cfg freq.Config) core.Prediction {
+		v := features.Combine(st, cfg).Slice()
+		return core.Prediction{Config: cfg, Speedup: m.Speedup.Predict(v), NormEnergy: m.Energy.Predict(v)}
 	}
-	const src = `__kernel void axpy(__global const float* x, __global float* y, float a, int n) {
-		int i = get_global_id(0);
-		if (i < n) y[i] = a * x[i] + y[i];
-	}`
-	got, err := p.PredictSource(src, "axpy")
-	if err != nil {
-		t.Fatalf("PredictSource: %v", err)
+	var grid []core.Prediction
+	for _, cfg := range core.ExcludeMemL(ladder, ladder.Configs()) {
+		grid = append(grid, predict(cfg))
 	}
-	cp := core.NewPredictor(models, p.Ladder())
-	want, err := cp.PredictSource(src, "axpy")
-	if err != nil {
-		t.Fatal(err)
+	out := core.ParetoFront(grid)
+	if cfg, ok := core.MemLHeuristicConfig(ladder); ok {
+		heur := predict(cfg)
+		heur.MemLHeuristic = true
+		out = append(out, heur)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("engine PredictSource disagrees with core path")
-	}
+	return out
 }

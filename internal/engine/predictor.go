@@ -9,11 +9,16 @@ import (
 	"repro/internal/freq"
 )
 
-// Predictor is the engine's concurrent prediction facade over a pair of
-// trained models: it mirrors core.Predictor's API, evaluates the frequency
-// ladder in parallel, and batches whole kernel lists. It memoizes nothing;
-// per-kernel Pareto sets are cached one layer up, in the policy governor.
-// All methods are safe for concurrent use.
+// Predictor is the prediction phase of the paper (Fig. 3 steps 1–9 and
+// Section 4.5) over a pair of trained models: it evaluates both SVRs over
+// every configuration of the modeled memory clocks, derives the Pareto set
+// with core.ParetoFront and appends the mem-L heuristic point. It is the one
+// place that turns models and static features into a Pareto set; core holds
+// the rules as pure functions. A single kernel's ladder sweep is split
+// across the worker pool, and whole kernel lists go through the columnar
+// batch path (PredictFrontsInto). It memoizes nothing; per-kernel Pareto
+// sets are cached one layer up, in the policy governor. All methods are
+// safe for concurrent use.
 type Predictor struct {
 	inner   *core.Predictor
 	workers int
@@ -31,19 +36,15 @@ type Predictor struct {
 func NewPredictor(m *core.Models, ladder *freq.Ladder, opts Options) *Predictor {
 	opts = opts.withDefaults()
 	p := &Predictor{
-		inner:   core.NewPredictor(m, ladder),
+		inner:   &core.Predictor{Models: m, Ladder: ladder},
 		workers: opts.Workers,
+		cfgs:    core.ExcludeMemL(ladder, ladder.Configs()),
 	}
-	for _, mem := range p.inner.ModeledMems() {
-		for _, c := range p.inner.Ladder.CoreClocks(mem) {
-			p.cfgs = append(p.cfgs, freq.Config{Mem: mem, Core: c})
-		}
-	}
-	p.memLCfg, p.hasMemL = core.MemLHeuristicConfig(p.inner.Ladder)
+	p.memLCfg, p.hasMemL = core.MemLHeuristicConfig(ladder)
 	return p
 }
 
-// Core returns the underlying sequential predictor.
+// Core returns the models and ladder the predictor evaluates.
 func (p *Predictor) Core() *core.Predictor { return p.inner }
 
 // Ladder returns the frequency ladder predictions are made over.
@@ -51,11 +52,18 @@ func (p *Predictor) Ladder() *freq.Ladder { return p.inner.Ladder }
 
 // PredictConfig predicts both objectives for one configuration.
 func (p *Predictor) PredictConfig(st features.Static, cfg freq.Config) core.Prediction {
-	return p.inner.PredictConfig(st, cfg)
+	v := features.Combine(st, cfg).Slice()
+	return core.Prediction{
+		Config:     cfg,
+		Speedup:    p.inner.Models.Speedup.Predict(v),
+		NormEnergy: p.inner.Models.Energy.Predict(v),
+	}
 }
 
 // predictConfigs evaluates many configurations for one kernel, splitting
-// the sweep across the worker pool when it is large enough to pay off.
+// the sweep across the worker pool when it is large enough to pay off. One
+// kernel's sweep stays below the svm row-sharding threshold, so the
+// columnar path would run it on a single core.
 func (p *Predictor) predictConfigs(st features.Static, cfgs []freq.Config) []core.Prediction {
 	out := make([]core.Prediction, len(cfgs))
 	const parallelMin = 32
@@ -88,43 +96,21 @@ func (p *Predictor) predictConfigs(st features.Static, cfgs []freq.Config) []cor
 	return out
 }
 
-// modeledConfigs returns the cached list of every supported configuration
-// of the modeled memory clocks (all but mem-L). Callers must not mutate it.
-func (p *Predictor) modeledConfigs() []freq.Config { return p.cfgs }
-
-// PredictAll predicts both objectives at every supported configuration of
-// the given memory clocks (nil = the modeled clocks: all but mem-L),
-// evaluating the ladder in parallel.
-func (p *Predictor) PredictAll(st features.Static, mems []freq.MHz) []core.Prediction {
-	var cfgs []freq.Config
-	if mems == nil {
-		cfgs = p.modeledConfigs()
-	} else {
-		for _, m := range mems {
-			for _, c := range p.inner.Ladder.CoreClocks(m) {
-				cfgs = append(cfgs, freq.Config{Mem: m, Core: c})
-			}
-		}
-	}
-	return p.predictConfigs(st, cfgs)
+// PredictAll predicts both objectives at every configuration of the
+// modeled memory clocks (all but mem-L), in ladder order, evaluating the
+// ladder in parallel.
+func (p *Predictor) PredictAll(st features.Static) []core.Prediction {
+	return p.predictConfigs(st, p.cfgs)
 }
 
-// memLHeuristic is core.Predictor.MemLHeuristic over the precomputed
-// heuristic configuration.
-func (p *Predictor) memLHeuristic(st features.Static) (core.Prediction, bool) {
-	if !p.hasMemL {
-		return core.Prediction{}, false
-	}
-	pr := p.PredictConfig(st, p.memLCfg)
-	pr.MemLHeuristic = true
-	return pr, true
-}
-
-// paretoOf derives the Pareto front and appends the mem-L heuristic
-// configuration, matching core.Predictor's output contract.
-func (p *Predictor) paretoOf(st features.Static, preds []core.Prediction) []core.Prediction {
-	out := core.ParetoFront(preds)
-	if heur, ok := p.memLHeuristic(st); ok {
+// FrontOf derives a kernel's Pareto set from its predicted grid: the
+// Pareto front of grid, ascending by speedup, followed by the mem-L
+// heuristic configuration when the ladder has one. grid is not modified.
+func (p *Predictor) FrontOf(st features.Static, grid []core.Prediction) []core.Prediction {
+	out := core.ParetoFront(grid)
+	if p.hasMemL {
+		heur := p.PredictConfig(st, p.memLCfg)
+		heur.MemLHeuristic = true
 		out = append(out, heur)
 	}
 	return out
@@ -134,15 +120,15 @@ func (p *Predictor) paretoOf(st features.Static, preds []core.Prediction) []core
 // kernel given only its static features (prediction-phase steps 1–9 of
 // Fig. 3), sweeping the modeled ladder in parallel.
 func (p *Predictor) ParetoSet(st features.Static) []core.Prediction {
-	return p.paretoOf(st, p.predictConfigs(st, p.modeledConfigs()))
+	return p.FrontOf(st, p.PredictAll(st))
 }
 
 // ParetoSetOver is ParetoSet restricted to the given candidate
-// configurations; lowest-memory-clock candidates are excluded from modeling
-// and replaced by the mem-L heuristic, as in core.Predictor.ParetoSetOver.
+// configurations (e.g. the 40-setting evaluation sample the paper uses);
+// lowest-memory-clock candidates are excluded from modeling and replaced by
+// the mem-L heuristic.
 func (p *Predictor) ParetoSetOver(st features.Static, cfgs []freq.Config) []core.Prediction {
-	modeled := core.ExcludeMemL(p.inner.Ladder, cfgs)
-	return p.paretoOf(st, p.predictConfigs(st, modeled))
+	return p.FrontOf(st, p.predictConfigs(st, core.ExcludeMemL(p.inner.Ladder, cfgs)))
 }
 
 // PredictSource is the end-to-end prediction entry point: parse OpenCL
@@ -155,54 +141,30 @@ func (p *Predictor) PredictSource(src, kernelName string) ([]core.Prediction, er
 	return p.ParetoSet(st), nil
 }
 
-// PredictBatch predicts the Pareto set of every kernel in the batch,
-// fanning kernels out across the worker pool. Results are index-aligned
-// with the input. The context cancels unstarted work; the partial result is
-// discarded and ctx.Err() returned.
+// PredictBatch predicts the Pareto set of every kernel in the batch through
+// the columnar path (PredictFrontsInto) on a pooled scratch, and returns
+// fronts the caller owns. Results are index-aligned with the input and
+// equal to calling ParetoSet per kernel. A context that is already
+// cancelled returns ctx.Err(); a batch that has started runs to the end.
 func (p *Predictor) PredictBatch(ctx context.Context, sts []features.Static) ([][]core.Prediction, error) {
-	out := make([][]core.Prediction, len(sts))
-	workers := p.workers
-	if workers > len(sts) {
-		workers = len(sts)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	cfgs := p.modeledConfigs()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					return
-				}
-				// Per-kernel sweeps stay sequential here: the batch fan-out
-				// already saturates the pool, and nesting predictConfigs
-				// would oversubscribe it.
-				preds := make([]core.Prediction, len(cfgs))
-				for j, cfg := range cfgs {
-					preds[j] = p.PredictConfig(sts[i], cfg)
-				}
-				out[i] = p.paretoOf(sts[i], preds)
-			}
-		}()
-	}
-	for i := range sts {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			close(jobs)
-			wg.Wait()
-			return nil, ctx.Err()
-		}
-	}
-	close(jobs)
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	s := GetBatchScratch()
+	defer PutBatchScratch(s)
+	fronts := p.PredictFrontsInto(s, sts)
+	total := 0
+	for _, f := range fronts {
+		total += len(f)
+	}
+	// One backing array for every front; the scratch's slices are reused
+	// by the next batch, so nothing may alias them.
+	flat := make([]core.Prediction, 0, total)
+	out := make([][]core.Prediction, len(fronts))
+	for i, f := range fronts {
+		lo := len(flat)
+		flat = append(flat, f...)
+		out[i] = flat[lo:len(flat):len(flat)]
 	}
 	return out, nil
 }

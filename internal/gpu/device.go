@@ -290,8 +290,3 @@ func (d *Device) Simulate(p KernelProfile, cfg freq.Config) (Result, error) {
 		MemUtil:    memUtil,
 	}, nil
 }
-
-// SimulateDefault runs the kernel at the device's default configuration.
-func (d *Device) SimulateDefault(p KernelProfile) (Result, error) {
-	return d.Simulate(p, d.Ladder.Default())
-}

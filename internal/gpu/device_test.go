@@ -253,9 +253,9 @@ func TestResultsPositiveProperty(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	d := TitanX()
 	p := KernelProfile{Name: "bare"} // zero profile: defaults kick in
-	r, err := d.SimulateDefault(p)
+	r, err := d.Simulate(p, d.Ladder.Default())
 	if err != nil {
-		t.Fatalf("SimulateDefault: %v", err)
+		t.Fatalf("Simulate at default: %v", err)
 	}
 	if r.TimeSec <= 0 {
 		t.Errorf("TimeSec = %v, want > 0 (launch overhead)", r.TimeSec)
@@ -265,9 +265,9 @@ func TestDefaultsApplied(t *testing.T) {
 func TestP100Simulates(t *testing.T) {
 	d := P100()
 	p := computeProfile()
-	r, err := d.SimulateDefault(p)
+	r, err := d.Simulate(p, d.Ladder.Default())
 	if err != nil {
-		t.Fatalf("P100 SimulateDefault: %v", err)
+		t.Fatalf("P100 Simulate at default: %v", err)
 	}
 	if r.PowerWatts < 100 || r.PowerWatts > 350 {
 		t.Errorf("P100 default power = %.1f W, out of plausible envelope", r.PowerWatts)

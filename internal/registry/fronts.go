@@ -67,16 +67,12 @@ func ComputeFronts(pred *engine.Predictor, kernels []core.TrainingKernel) *Front
 			continue // identical feature vectors share one entry
 		}
 		seen[k.Features] = true
-		grid := pred.PredictAll(k.Features, nil)
-		front := core.ParetoFront(grid)
-		if heur, ok := pred.Core().MemLHeuristic(k.Features); ok {
-			front = append(front, heur)
-		}
+		grid := pred.PredictAll(k.Features)
 		f.Kernels = append(f.Kernels, FrontEntry{
 			Name:     k.Name,
 			Features: k.Features,
 			Grid:     grid,
-			Pareto:   front,
+			Pareto:   pred.FrontOf(k.Features, grid),
 		})
 	}
 	return f

@@ -97,7 +97,7 @@ func TestFrontsMatchLiveSweep(t *testing.T) {
 				t.Fatalf("%s point %d: stored %+v, live %+v", k.Name, i, entry.Pareto[i], live[i])
 			}
 		}
-		grid := pred.PredictAll(k.Features, nil)
+		grid := pred.PredictAll(k.Features)
 		if len(entry.Grid) != len(grid) {
 			t.Fatalf("%s: stored grid has %d points, live %d", k.Name, len(entry.Grid), len(grid))
 		}

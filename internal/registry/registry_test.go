@@ -69,17 +69,13 @@ func TestSaveLoadRoundTripBitIdentical(t *testing.T) {
 	// The loaded models must predict bit-identically to the saved set
 	// at every supported configuration of every memory clock.
 	ladder := eng.Harness().Device().Sim().Ladder
-	orig := core.NewPredictor(models, ladder)
-	got := core.NewPredictor(loaded, ladder)
+	orig := engine.NewPredictor(models, ladder, engine.Options{})
+	got := engine.NewPredictor(loaded, ladder, engine.Options{})
 	st := engine.TrainingKernels()[7].Features
-	a := orig.PredictAll(st, ladder.MemClocks())
-	b := got.PredictAll(st, ladder.MemClocks())
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("prediction counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Speedup != b[i].Speedup || a[i].NormEnergy != b[i].NormEnergy {
-			t.Fatalf("prediction %d differs: %+v vs %+v", i, a[i], b[i])
+	for _, cfg := range ladder.Configs() {
+		a, b := orig.PredictConfig(st, cfg), got.PredictConfig(st, cfg)
+		if a.Speedup != b.Speedup || a.NormEnergy != b.NormEnergy {
+			t.Fatalf("prediction at %v differs: %+v vs %+v", cfg, a, b)
 		}
 	}
 }

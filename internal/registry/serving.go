@@ -113,18 +113,3 @@ func (s *Serving) StatsFor(version string) (VersionStats, bool) {
 	vs, ok := s.retired[version]
 	return vs, ok
 }
-
-// AllStats returns the stats of every version that has served in this
-// process, live and retired, keyed by version id.
-func (s *Serving) AllStats() map[string]VersionStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]VersionStats, len(s.retired)+1)
-	for v, vs := range s.retired {
-		out[v] = vs
-	}
-	if s.pred != nil {
-		out[s.version] = VersionStats{Decisions: s.gov.Stats(), Live: true}
-	}
-	return out
-}

@@ -64,8 +64,8 @@ func TestServingInstallAndStats(t *testing.T) {
 	if s.Swaps() != 2 {
 		t.Fatalf("swaps = %d, want 2", s.Swaps())
 	}
-	if all := s.AllStats(); len(all) != 2 || !all["v0002"].Live || all["v0001"].Live {
-		t.Fatalf("AllStats: %+v", all)
+	if all := allStats(s); len(all) != 2 || !all["v0002"].Live || all["v0001"].Live {
+		t.Fatalf("allStats: %+v", all)
 	}
 	if _, ok := s.StatsFor("v9999"); ok {
 		t.Fatal("stats reported for a version that never served")
@@ -131,10 +131,25 @@ func TestConcurrentPredictDuringHotSwap(t *testing.T) {
 		t.Fatalf("swaps = %d, want 29", s.Swaps())
 	}
 	// Every retired version kept its stats.
-	all := s.AllStats()
+	all := allStats(s)
 	if len(all) != 29 {
-		t.Fatalf("AllStats has %d versions, want 29", len(all))
+		t.Fatalf("allStats has %d versions, want 29", len(all))
 	}
+}
+
+// allStats returns the stats of every version that has served on s, live
+// and retired, keyed by version id.
+func allStats(s *Serving) map[string]VersionStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string]VersionStats, len(s.retired)+1)
+	for v, vs := range s.retired {
+		out[v] = vs
+	}
+	if s.pred != nil {
+		out[s.version] = VersionStats{Decisions: s.gov.Stats(), Live: true}
+	}
+	return out
 }
 
 // version formats a test version id the way the store numbers them.

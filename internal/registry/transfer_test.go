@@ -76,14 +76,12 @@ func TestExportImportRoundTripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := core.NewPredictor(srcModels, ladder).PredictAll(engine.TrainingKernels()[3].Features, ladder.MemClocks())
-	b := core.NewPredictor(dstModels, ladder).PredictAll(engine.TrainingKernels()[3].Features, ladder.MemClocks())
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("prediction counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("prediction %d differs after transfer: %+v vs %+v", i, a[i], b[i])
+	srcPred := engine.NewPredictor(srcModels, ladder, engine.Options{})
+	dstPred := engine.NewPredictor(dstModels, ladder, engine.Options{})
+	st := engine.TrainingKernels()[3].Features
+	for _, cfg := range ladder.Configs() {
+		if a, b := srcPred.PredictConfig(st, cfg), dstPred.PredictConfig(st, cfg); a != b {
+			t.Fatalf("prediction at %v differs after transfer: %+v vs %+v", cfg, a, b)
 		}
 	}
 

@@ -44,9 +44,12 @@ type Params struct {
 	// converges in a fraction of the cold iterations — with an unchanged
 	// set it reproduces the prior model bit-identically (Model.Warm.Reused).
 	// The prior must use the same kernel and feature dimension; Train
-	// errors loudly otherwise. The trained model is always converged to the
-	// same tolerance as a cold fit — warm-starting changes the SMO
-	// trajectory, never the stopping criterion.
+	// errors loudly otherwise. A warm fit stops by the same rule as a cold
+	// one, the KKT tolerance or the MaxIter cap, whichever comes first:
+	// warm-starting changes the SMO trajectory, never the stopping rule.
+	// Neither fit is guaranteed to converge (the linear speedup fit at
+	// paper scale reaches the iteration cap); Model.Converged reports
+	// whether this one did.
 	WarmStart *Model
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/gpu"
 	"repro/internal/measure"
@@ -39,7 +40,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := core.NewPredictor(models, h.Device().Sim().Ladder)
+	pred := engine.NewPredictor(models, h.Device().Sim().Ladder, engine.Options{})
 	set := pred.ParetoSet(conv.Features())
 	if len(set) < 3 {
 		t.Fatalf("predicted Pareto set has %d points", len(set))
