@@ -32,7 +32,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment: fig1, fig4, fig5, fig6, fig7, fig8, table2, policy, budget, p100, adapt, all")
 	settings := flag.Int("settings", 40, "sampled frequency settings per training kernel")
-	workers := flag.Int("workers", 0, "training/prediction worker pool size (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "training worker pool size (0 = NumCPU)")
 	modelDir := flag.String("model-dir", "", "model registry directory (use the active titanx snapshot instead of training)")
 	flag.Parse()
 

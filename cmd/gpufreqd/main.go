@@ -486,15 +486,14 @@ func (s *server) handler() http.Handler {
 // install publishes a model set as the serving version, hot-swapping the
 // predictor/governor pair behind the serving holder's RWMutex so
 // concurrent /predict and /select requests never see a half-installed
-// version. The predictor is built directly from the models (not read back
-// from the engine), so the (version, models) pairing cannot be torn by a
-// concurrent install; the engine's models are updated too for its own
-// consumers (Trained, solver-stat reporting). fronts is the snapshot's
+// version. The predictor is the one SetModels built over these models (not
+// read back from the engine afterwards), so the (version, models) pairing
+// cannot be torn by a concurrent install; the engine's models are updated
+// too for its own consumers (Trained, solver-stat reporting). fronts is the snapshot's
 // publish-time front table (nil for snapshots without one): the fresh
 // governor serves kernels in the table without any SVR evaluations.
 func (s *server) install(version string, models *core.Models, fronts *registry.Fronts) error {
-	pred := engine.NewPredictor(models, s.engine.Harness().Device().Sim().Ladder, s.engine.Options())
-	s.engine.SetModels(models)
+	pred := s.engine.SetModels(models)
 	s.serving.InstallWithFronts(version, pred, fronts)
 	return nil
 }
@@ -992,7 +991,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	// Each kernel resolves through the governor's front memo, exactly as
 	// /select does: the publish-time front table, then the sweep LRU, then
-	// a live parallel ladder sweep.
+	// a live ladder sweep.
 	results := make([]predictResult, len(kernels))
 	for i, k := range kernels {
 		if err := r.Context().Err(); err != nil {

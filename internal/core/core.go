@@ -20,6 +20,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -377,7 +378,12 @@ func (m *Models) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(modelsJSON{Speedup: sb.Bytes(), Energy: eb.Bytes()})
 }
 
-// Load reads models saved by Save.
+// ErrDim marks a model whose support vectors are not features.Dim wide:
+// it was fitted to another feature layout and cannot predict this one.
+var ErrDim = errors.New("core: model input dimension differs from features.Dim")
+
+// Load reads models saved by Save. A model whose support vectors are not
+// features.Dim wide is rejected with an error wrapping ErrDim.
 func Load(r io.Reader) (*Models, error) {
 	var mj modelsJSON
 	if err := json.NewDecoder(r).Decode(&mj); err != nil {
@@ -390,6 +396,11 @@ func Load(r io.Reader) (*Models, error) {
 	em, err := svm.Load(bytes.NewReader(mj.Energy))
 	if err != nil {
 		return nil, fmt.Errorf("core: energy model: %w", err)
+	}
+	for _, m := range []*svm.Model{sm, em} {
+		if svs := m.SupportVectors; len(svs) > 0 && len(svs[0]) != features.Dim {
+			return nil, fmt.Errorf("%w: support vectors have %d entries, want %d", ErrDim, len(svs[0]), features.Dim)
+		}
 	}
 	return &Models{Speedup: sm, Energy: em}, nil
 }

@@ -9,19 +9,16 @@ import (
 	"repro/internal/features"
 )
 
-// BatchScratch is the reusable working memory of the columnar batch
-// prediction path: the flat feature matrix, the per-model output columns,
-// and the per-kernel prediction segments fronts are derived in. A scratch
-// grows to the largest batch it has served and is then allocation-free for
-// every batch that fits; the serving layer recycles scratches through
-// GetBatchScratch/PutBatchScratch so the steady-state batch path allocates
-// nothing (pinned by the engine's AllocsPerRun test). A BatchScratch must
-// not be used concurrently.
+// BatchScratch is the reusable working memory of the prediction paths: one
+// kernel's sweep output per model, and the per-kernel prediction segments
+// fronts are derived in. A scratch grows to the largest batch it has served
+// and is then allocation-free for every batch that fits; the serving layer
+// recycles scratches through GetBatchScratch/PutBatchScratch so the
+// steady-state batch path allocates nothing (pinned by the engine's
+// AllocsPerRun test). A BatchScratch must not be used concurrently.
 type BatchScratch struct {
-	rows    []float64   // flat row-major feature matrix, one row per (kernel, config)
-	xs      [][]float64 // row views into rows, passed to svm.PredictBatchInto
-	speedup []float64   // speedup-model output column
-	energy  []float64   // energy-model output column
+	speedup []float64 // one kernel's speedup sweep
+	energy  []float64 // one kernel's energy sweep
 	preds   []core.Prediction
 	fronts  [][]core.Prediction
 }
@@ -41,29 +38,16 @@ func GetBatchScratch() *BatchScratch { return batchPool.Get().(*BatchScratch) }
 // after it is returned.
 func PutBatchScratch(s *BatchScratch) { batchPool.Put(s) }
 
-// ensure sizes the scratch for nKernels kernels of stride rows each,
-// reusing existing capacity. The row views are rebuilt every call (cheap:
-// slice-header writes into already-allocated backing).
+// ensure sizes the scratch for nKernels kernels of stride predictions each,
+// reusing existing capacity.
 func (s *BatchScratch) ensure(nKernels, stride int) {
+	if cap(s.speedup) < stride {
+		s.speedup = make([]float64, stride)
+		s.energy = make([]float64, stride)
+	}
+	s.speedup = s.speedup[:stride]
+	s.energy = s.energy[:stride]
 	n := nKernels * stride
-	dim := features.Dim
-	if cap(s.rows) < n*dim {
-		s.rows = make([]float64, n*dim)
-	}
-	s.rows = s.rows[:n*dim]
-	if cap(s.xs) < n {
-		s.xs = make([][]float64, n)
-	}
-	s.xs = s.xs[:n]
-	for i := range s.xs {
-		s.xs[i] = s.rows[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	if cap(s.speedup) < n {
-		s.speedup = make([]float64, n)
-		s.energy = make([]float64, n)
-	}
-	s.speedup = s.speedup[:n]
-	s.energy = s.energy[:n]
 	if cap(s.preds) < n {
 		s.preds = make([]core.Prediction, n)
 	}
@@ -74,62 +58,33 @@ func (s *BatchScratch) ensure(nKernels, stride int) {
 	s.fronts = s.fronts[:nKernels]
 }
 
-// PredictFrontsInto predicts the Pareto set of every kernel in the batch
-// through the columnar fast path: one flat feature matrix over the modeled
-// ladder (plus the mem-L heuristic row per kernel), one PredictBatchInto
-// call per model across the whole batch, and in-place per-kernel front
-// derivation. The result is index-aligned with sts and equal, values and
-// order, to calling ParetoSet per kernel (pinned by the engine tests).
+// PredictFrontsInto predicts the Pareto set of every kernel in the batch:
+// each kernel's ladder sweep (the modeled configurations plus the mem-L
+// heuristic point) and an in-place front derivation in its segment of the
+// scratch. The result is index-aligned with sts and equal, values and
+// order, to calling ParetoSet per kernel.
 //
-// A batch recomputes its rows unconditionally, and every returned slice
-// aliases the scratch: results are valid only until the scratch is reused or
-// returned to the pool. Batches whose row count stays under the svm
-// parallel threshold (256) allocate nothing once the scratch has grown;
-// larger batches shard the model evaluation across GOMAXPROCS goroutines,
-// whose spawns are the only allocations.
+// Every returned slice aliases the scratch: results are valid only until
+// the scratch is reused or returned to the pool. Once the scratch has
+// grown to the batch, a call allocates nothing.
 func (p *Predictor) PredictFrontsInto(s *BatchScratch, sts []features.Static) [][]core.Prediction {
 	nCfg := len(p.cfgs)
-	stride := nCfg
-	if p.hasMemL {
-		stride++
-	}
+	stride := p.stride()
 	s.ensure(len(sts), stride)
-
-	// Stage 1: materialize the feature matrix, kernels × stride rows.
-	dim := features.Dim
-	off := 0
 	for i := range sts {
-		for _, cfg := range p.cfgs {
-			v := features.Combine(sts[i], cfg)
-			copy(s.rows[off:off+dim], v[:])
-			off += dim
-		}
-		if p.hasMemL {
-			v := features.Combine(sts[i], p.memLCfg)
-			copy(s.rows[off:off+dim], v[:])
-			off += dim
-		}
-	}
-
-	// Stage 2: one columnar sweep per model over the whole batch.
-	p.inner.Models.Speedup.PredictBatchInto(s.speedup, s.xs)
-	p.inner.Models.Energy.PredictBatchInto(s.energy, s.xs)
-
-	// Stage 3: assemble predictions and derive each kernel's front in place.
-	for i := range sts {
-		base := i * stride
-		seg := s.preds[base : base+stride]
+		p.ladder.into(s.speedup, s.energy, &sts[i])
+		seg := s.preds[i*stride : (i+1)*stride]
 		for j, cfg := range p.cfgs {
-			seg[j] = core.Prediction{Config: cfg, Speedup: s.speedup[base+j], NormEnergy: s.energy[base+j]}
+			seg[j] = core.Prediction{Config: cfg, Speedup: s.speedup[j], NormEnergy: s.energy[j]}
 		}
 		m := frontInPlace(seg[:nCfg])
 		if p.hasMemL {
-			// The heuristic row rides after the modeled grid; move it to
+			// The heuristic point rides after the modeled grid; move it to
 			// just past the compacted front, matching FrontOf's contract.
 			seg[m] = core.Prediction{
 				Config:        p.memLCfg,
-				Speedup:       s.speedup[base+nCfg],
-				NormEnergy:    s.energy[base+nCfg],
+				Speedup:       s.speedup[nCfg],
+				NormEnergy:    s.energy[nCfg],
 				MemLHeuristic: true,
 			}
 			m++

@@ -33,20 +33,19 @@ func sortPreds(ps []core.Prediction) []core.Prediction {
 	return out
 }
 
-// TestPredictFrontsIntoMatchesParetoSet pins both batch paths to the
-// per-kernel sweep exactly, values and order, on a device with the mem-L
-// point (Titan X) and one without (P100), over the 12 test benchmarks and
-// the 106 training kernels.
+// TestPredictFrontsIntoMatchesParetoSet pins both batch paths, and the
+// grid-then-front path the registry publishes with (FrontOf over
+// PredictAll, and ParetoSetOver the whole ladder), to the per-kernel sweep
+// exactly, values and order, on a device with the mem-L point (Titan X) and
+// one without (P100), over the 12 test benchmarks, the 106 training kernels
+// and 64 random static vectors.
 func TestPredictFrontsIntoMatchesParetoSet(t *testing.T) {
 	e, kernels := testEngine(t, 4)
 	models, err := e.Train(context.Background(), kernels)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	sts := benchFeatures()
-	for _, k := range TrainingKernels() {
-		sts = append(sts, k.Features)
-	}
+	sts := sweepKernels(64)
 	for _, dev := range []struct {
 		name   string
 		ladder *freq.Ladder
@@ -61,6 +60,12 @@ func TestPredictFrontsIntoMatchesParetoSet(t *testing.T) {
 			want[i] = p.ParetoSet(st)
 			if last := want[i][len(want[i])-1]; last.MemLHeuristic != dev.memL {
 				t.Fatalf("%s kernel %d: last point %+v, mem-L heuristic want %v", dev.name, i, last, dev.memL)
+			}
+			if got := p.FrontOf(st, p.PredictAll(st)); !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%s kernel %d: FrontOf(PredictAll) = %v, ParetoSet %v", dev.name, i, got, want[i])
+			}
+			if got := p.ParetoSetOver(st, dev.ladder.Configs()); !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%s kernel %d: ParetoSetOver(ladder) = %v, ParetoSet %v", dev.name, i, got, want[i])
 			}
 		}
 		checkFronts := func(path string, got, want [][]core.Prediction) {
@@ -128,8 +133,9 @@ func TestFrontInPlaceMatchesParetoFront(t *testing.T) {
 }
 
 // TestPredictFrontsIntoAllocs pins the zero-allocation contract of the
-// steady-state batch path: once the scratch has grown to the batch size,
-// a sub-threshold batch performs no allocations at all.
+// steady-state batch path: once the scratch has grown to the batch size, a
+// batch performs no allocations at all, at one kernel and at the 32 kernels
+// (5,696 sweep rows on the Titan X) of a select-novel /predict/batch frame.
 func TestPredictFrontsIntoAllocs(t *testing.T) {
 	e, kernels := testEngine(t, 4)
 	if _, err := e.Train(context.Background(), kernels); err != nil {
@@ -139,35 +145,36 @@ func TestPredictFrontsIntoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Predictor: %v", err)
 	}
-	sts := benchFeatures()[:1]
-	if rows := len(sts) * (len(p.cfgs) + 1); rows >= 256 {
-		t.Skipf("batch of %d rows exceeds the sequential threshold", rows)
-	}
-	scratch := GetBatchScratch()
-	defer PutBatchScratch(scratch)
-	p.PredictFrontsInto(scratch, sts) // grow the scratch
+	for _, n := range []int{1, 32} {
+		sts := randomStatics(n)
+		scratch := GetBatchScratch()
+		p.PredictFrontsInto(scratch, sts) // grow the scratch
 
-	var sink [][]core.Prediction
-	allocs := testing.AllocsPerRun(100, func() {
-		sink = p.PredictFrontsInto(scratch, sts)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state batch path allocates %.1f times per run, want 0", allocs)
+		var sink [][]core.Prediction
+		allocs := testing.AllocsPerRun(100, func() {
+			sink = p.PredictFrontsInto(scratch, sts)
+		})
+		PutBatchScratch(scratch)
+		if allocs != 0 {
+			t.Fatalf("steady-state batch of %d kernels allocates %.1f times per run, want 0", n, allocs)
+		}
+		_ = sink
 	}
-	_ = sink
 }
 
-// BenchmarkColumnarVsSweep is the columnar batch's speed check, run by the
-// CI bench job. It derives the fronts of the 106 training kernels three
-// ways: one PredictFrontsInto call, one PredictBatch call, and 106
-// ParetoSet calls. All three run the same RBF math, so the batch paths win
-// only by sharding whole-batch model evaluation, a margin too thin to assert
-// on a loaded test runner. It reports ns per kernel for each and fails when
-// either batch path is not cheaper per kernel than the per-kernel sweep.
+// BenchmarkColumnarVsSweep is the ladder sweep's speed check, run by the CI
+// bench job. It derives the fronts of the 106 training kernels twice: one
+// PredictFrontsInto call over the separable sweep, and the row-wise oracle
+// (svm.Model.Predict on each kernel's 178 features.Combine rows, then the
+// front rules). It reports ns per kernel for each and fails unless the
+// sweep is at least 4x cheaper per kernel than the oracle; the separable
+// form replaces one exp per (support vector, configuration) pair with one
+// per support vector, which measures about 12x on 2 vCPUs.
 func BenchmarkColumnarVsSweep(b *testing.B) {
 	e := NewDefault(Options{Core: core.Options{SettingsPerKernel: 12}})
 	kernels := TrainingKernels()
-	if _, err := e.Train(context.Background(), kernels); err != nil {
+	models, err := e.Train(context.Background(), kernels)
+	if err != nil {
 		b.Fatal(err)
 	}
 	p, err := e.Predictor()
@@ -195,26 +202,21 @@ func BenchmarkColumnarVsSweep(b *testing.B) {
 	}
 	scratch := GetBatchScratch()
 	defer PutBatchScratch(scratch)
-	var columnar, batch, sweep float64
+	ladder := p.Ladder()
+	var sweep, rows float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		columnar = nsPerKernel(func() { p.PredictFrontsInto(scratch, sts) })
-		batch = nsPerKernel(func() {
-			if _, err := p.PredictBatch(context.Background(), sts); err != nil {
-				b.Fatal(err)
-			}
-		})
-		sweep = nsPerKernel(func() {
+		sweep = nsPerKernel(func() { p.PredictFrontsInto(scratch, sts) })
+		rows = nsPerKernel(func() {
 			for _, st := range sts {
-				p.ParetoSet(st)
+				referenceParetoSet(models, ladder, st)
 			}
 		})
 	}
-	b.ReportMetric(columnar, "columnar-ns/kernel")
-	b.ReportMetric(batch, "batch-ns/kernel")
 	b.ReportMetric(sweep, "sweep-ns/kernel")
-	if columnar >= sweep || batch >= sweep {
-		b.Fatalf("batch paths (columnar %.0f, PredictBatch %.0f ns/kernel) not cheaper than the per-kernel sweep (%.0f ns/kernel)",
-			columnar, batch, sweep)
+	b.ReportMetric(rows, "rowwise-ns/kernel")
+	b.ReportMetric(rows/sweep, "speedup")
+	if rows < 4*sweep {
+		b.Fatalf("ladder sweep (%.0f ns/kernel) is not 4x cheaper than the row-wise oracle (%.0f ns/kernel)", sweep, rows)
 	}
 }

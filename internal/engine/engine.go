@@ -10,9 +10,11 @@
 //     state — run concurrently. Construction is context-aware, so an
 //     in-flight training run can be cancelled.
 //   - Prediction: the Predictor is the paper's prediction phase, the one
-//     place models and static features become a Pareto set. One kernel's
-//     ladder sweep is split across the worker pool; many kernels go
-//     through the columnar batch path (PredictFrontsInto, under
+//     place models and static features become a Pareto set. Its ladder
+//     sweep is separable (svm.Sweep): the per-configuration half of every
+//     kernel evaluation is tabled once per predictor, so a kernel costs one
+//     exp per RBF support vector and runs on the calling goroutine; many
+//     kernels go through the columnar batch path (PredictFrontsInto, under
 //     PredictBatch). The engine caches no predictions: repeated kernels are
 //     served from the policy governor's per-kernel front memo (the
 //     publish-time front table plus its sweep LRU).
@@ -43,8 +45,8 @@ var ErrNotTrained = errors.New("engine: no trained models (run Train or SetModel
 
 // Options configures the engine. Zero values select sensible defaults.
 type Options struct {
-	// Workers sizes the worker pool for training-set construction and
-	// single-kernel ladder sweeps. <= 0 selects runtime.GOMAXPROCS(0).
+	// Workers sizes the worker pool for training-set construction.
+	// <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
 	// Core carries the training options through to the model layer
 	// (settings per kernel, SVR kernels, hyper-parameters).
@@ -59,7 +61,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Engine couples a measurement harness with (lazily trained) models and a
-// concurrent predictor. All methods are safe for concurrent use.
+// predictor. All methods are safe for concurrent use.
 type Engine struct {
 	harness *measure.Harness
 	opts    Options
@@ -252,14 +254,16 @@ func (e *Engine) TrainDefault(ctx context.Context) (*core.Models, error) {
 }
 
 // SetModels installs externally obtained models (e.g. loaded from disk) as
-// the active models and rebuilds the predictor.
-func (e *Engine) SetModels(m *core.Models) {
+// the active models, rebuilds the predictor and returns it. The returned
+// predictor is over m even if another SetModels runs concurrently.
+func (e *Engine) SetModels(m *core.Models) *Predictor {
 	ladder := e.harness.Device().Sim().Ladder
 	pred := NewPredictor(m, ladder, e.opts)
 	e.mu.Lock()
 	e.models = m
 	e.pred = pred
 	e.mu.Unlock()
+	return pred
 }
 
 // Models returns the active models, or nil before training.
@@ -272,7 +276,7 @@ func (e *Engine) Models() *core.Models {
 // Trained reports whether models are installed.
 func (e *Engine) Trained() bool { return e.Models() != nil }
 
-// Predictor returns the concurrent predictor over the active models.
+// Predictor returns the predictor over the active models.
 func (e *Engine) Predictor() (*Predictor, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -3,6 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -69,20 +72,139 @@ func TestTrainAndPredictViaEngine(t *testing.T) {
 		t.Fatalf("Predictor: %v", err)
 	}
 
-	// The parallel sweep must agree with the sequential one and with the
-	// rules applied to direct model evaluations.
+	// The ladder sweep must agree with the rules applied to direct model
+	// evaluations (TestParetoSetMatchesRowWiseOracle checks many kernels).
 	st := benchFeatures()[0]
 	ladder := e.Harness().Device().Sim().Ladder
-	got := NewPredictor(models, ladder, Options{Workers: 8}).ParetoSet(st)
-	if seq := NewPredictor(models, ladder, Options{Workers: 1}).ParetoSet(st); !reflect.DeepEqual(got, seq) {
-		t.Fatalf("parallel ParetoSet disagrees with sequential:\n got %v\nwant %v", got, seq)
-	}
-	if want := referenceParetoSet(models, ladder, st); !reflect.DeepEqual(got, want) {
-		t.Fatalf("engine ParetoSet disagrees with the reference:\n got %v\nwant %v", got, want)
+	got := NewPredictor(models, ladder, Options{}).ParetoSet(st)
+	if diff, err := compareFronts(got, referenceParetoSet(models, ladder, st)); err != nil || diff > 1e-12 {
+		t.Fatalf("engine ParetoSet disagrees with the reference (max diff %g): %v", diff, err)
 	}
 	if last := got[len(got)-1]; !last.MemLHeuristic {
 		t.Fatalf("last prediction %+v is not the mem-L heuristic", last)
 	}
+}
+
+// TestParetoSetMatchesRowWiseOracle pins the separable ladder sweep to the
+// row-wise oracle (svm.Model.Predict on every features.Combine row): the
+// same configurations in the same order with the same mem-L flags, and
+// values within 1e-12. It covers the 12 test benchmarks, the 106 training
+// kernels and 256 seeded random valid static vectors, on a ladder with the
+// mem-L point (Titan X) and one without (P100).
+func TestParetoSetMatchesRowWiseOracle(t *testing.T) {
+	e, kernels := testEngine(t, 0)
+	models, err := e.Train(context.Background(), kernels)
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	sts := sweepKernels(256)
+	for _, dev := range []struct {
+		name   string
+		ladder *freq.Ladder
+	}{
+		{"titanx", e.Harness().Device().Sim().Ladder},
+		{"p100", freq.P100()},
+	} {
+		p := NewPredictor(models, dev.ladder, Options{})
+		worst := 0.0
+		for i, st := range sts {
+			diff, err := compareFronts(p.ParetoSet(st), referenceParetoSet(models, dev.ladder, st))
+			if err != nil {
+				t.Fatalf("%s kernel %d: %v", dev.name, i, err)
+			}
+			worst = math.Max(worst, diff)
+		}
+		if worst > 1e-12 {
+			t.Fatalf("%s: sweep differs from the row-wise oracle by %g, want <= 1e-12", dev.name, worst)
+		}
+		t.Logf("%s: %d kernels, largest difference from the row-wise oracle %g", dev.name, len(sts), worst)
+	}
+}
+
+// TestParetoSetOverMatchesRowWiseOracle checks the restricted sweep against
+// the row-wise oracle on the paper's 40-setting evaluation sample plus a
+// claimed core clock the Titan X never applies: candidates on the modeled
+// ladder are read out of the sweep, the claimed one is predicted row-wise,
+// and lowest-memory-clock candidates give way to the mem-L point.
+func TestParetoSetOverMatchesRowWiseOracle(t *testing.T) {
+	e, kernels := testEngine(t, 0)
+	models, err := e.Train(context.Background(), kernels)
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	ladder := e.Harness().Device().Sim().Ladder
+	mem := ladder.MemClocks()[0]
+	claimed := ladder.ClaimedCoreClocks(mem)
+	offLadder := freq.Config{Mem: mem, Core: claimed[len(claimed)-1]}
+	if ladder.Supported(offLadder) {
+		t.Fatalf("%v is on the ladder; the test needs a claimed-only clock", offLadder)
+	}
+	cands := append(ladder.TrainingSample(40), offLadder)
+	p := NewPredictor(models, ladder, Options{})
+	for i, st := range sweepKernels(16) {
+		var grid []core.Prediction
+		for _, cfg := range core.ExcludeMemL(ladder, cands) {
+			grid = append(grid, p.PredictConfig(st, cfg))
+		}
+		want := core.ParetoFront(grid)
+		memL, _ := core.MemLHeuristicConfig(ladder)
+		heur := p.PredictConfig(st, memL)
+		heur.MemLHeuristic = true
+		want = append(want, heur)
+		if diff, err := compareFronts(p.ParetoSetOver(st, cands), want); err != nil || diff > 1e-12 {
+			t.Fatalf("kernel %d: ParetoSetOver disagrees with the row-wise oracle (max diff %g): %v", i, diff, err)
+		}
+	}
+}
+
+// compareFronts returns the largest objective difference between two
+// Pareto sets, or an error when their configurations, order or mem-L flags
+// differ.
+func compareFronts(got, want []core.Prediction) (float64, error) {
+	if len(got) != len(want) {
+		return 0, fmt.Errorf("%d points, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
+	}
+	worst := 0.0
+	for i := range want {
+		if got[i].Config != want[i].Config || got[i].MemLHeuristic != want[i].MemLHeuristic {
+			return 0, fmt.Errorf("point %d is %+v, want %+v", i, got[i], want[i])
+		}
+		worst = math.Max(worst, math.Abs(got[i].Speedup-want[i].Speedup))
+		worst = math.Max(worst, math.Abs(got[i].NormEnergy-want[i].NormEnergy))
+	}
+	return worst, nil
+}
+
+// sweepKernels returns the static features of the 12 test benchmarks, the
+// 106 training kernels and n seeded random valid static vectors.
+func sweepKernels(n int) []features.Static {
+	sts := benchFeatures()
+	for _, k := range TrainingKernels() {
+		sts = append(sts, k.Features)
+	}
+	return append(sts, randomStatics(n)...)
+}
+
+// randomStatics returns n seeded random valid static feature vectors.
+func randomStatics(n int) []features.Static {
+	rng := rand.New(rand.NewSource(25))
+	out := make([]features.Static, n)
+	for i := range out {
+		st := &out[i]
+		sum := 0.0
+		for j := range st {
+			st[j] = rng.Float64()
+			sum += st[j]
+		}
+		share := rng.Float64() // the counted share of all instructions
+		for j := range st {
+			st[j] *= share / sum
+		}
+		if !st.Valid() {
+			panic(fmt.Sprintf("random static vector %v is not valid", *st))
+		}
+	}
+	return out
 }
 
 // TestConcurrentPredictBatch exercises many goroutines sharing one

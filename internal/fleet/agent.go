@@ -325,9 +325,7 @@ func (a *Agent) installDoc(doc []byte, boot *BootstrapInfo) (registry.Manifest, 
 	if man.Device != a.cfg.Device {
 		fronts = nil
 	}
-	ladder := a.cfg.Engine.Harness().Device().Sim().Ladder
-	pred := engine.NewPredictor(models, ladder, a.cfg.Engine.Options())
-	a.cfg.Engine.SetModels(models)
+	pred := a.cfg.Engine.SetModels(models)
 	a.cfg.Serving.InstallWithFronts(man.Version, pred, fronts)
 	a.version, a.hash = man.Version, man.Hash
 	if boot != nil {

@@ -131,7 +131,7 @@ func (g *Governor) Decide(st features.Static, spec Spec) (Decision, error) {
 // ParetoSet resolves a kernel's Pareto set through the front memo: the
 // publish-time front table (zero SVR evaluations), then the sweep LRU (one
 // sweep shared across specs and endpoints), then the predictor's live
-// parallel ladder sweep. Every call advances exactly one of FrontHits,
+// ladder sweep. Every call advances exactly one of FrontHits,
 // SweepHits or SweepMisses. The result is bit-identical to
 // Predictor().ParetoSet(st) and may be shared with other callers; callers
 // must not mutate it.

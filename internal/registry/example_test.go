@@ -4,14 +4,19 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/features"
 	"repro/internal/registry"
 	"repro/internal/svm"
 )
 
-// tinyModels trains a minimal model set — enough to snapshot, not enough
-// to predict anything useful.
+// tinyModels trains a minimal model set over the real input width —
+// enough to snapshot, not enough to predict anything useful.
 func tinyModels() (*core.Models, error) {
-	xs := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
+	xs := make([][]float64, 4)
+	for i := range xs {
+		xs[i] = make([]float64, features.Dim)
+		xs[i][0], xs[i][1] = float64(i/2), float64(i%2)
+	}
 	ys := []float64{0.2, 0.4, 0.6, 0.8}
 	m, err := svm.Train(xs, ys, svm.Linear{}, svm.Params{C: 1, Epsilon: 0.01})
 	if err != nil {

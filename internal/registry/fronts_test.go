@@ -3,9 +3,9 @@ package registry
 import (
 	"encoding/json"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -86,20 +86,11 @@ func TestFrontsMatchLiveSweep(t *testing.T) {
 		if !ok {
 			t.Fatalf("no front entry for training kernel %s", k.Name)
 		}
-		live := pred.ParetoSet(k.Features)
-		if len(entry.Pareto) != len(live) {
-			t.Fatalf("%s: stored front has %d points, live sweep %d", k.Name, len(entry.Pareto), len(live))
+		if live := pred.ParetoSet(k.Features); !reflect.DeepEqual(entry.Pareto, live) {
+			t.Fatalf("%s: stored front %v, live sweep %v", k.Name, entry.Pareto, live)
 		}
-		for i := range live {
-			if entry.Pareto[i].Config != live[i].Config ||
-				math.Abs(entry.Pareto[i].Speedup-live[i].Speedup) > 1e-12 ||
-				math.Abs(entry.Pareto[i].NormEnergy-live[i].NormEnergy) > 1e-12 {
-				t.Fatalf("%s point %d: stored %+v, live %+v", k.Name, i, entry.Pareto[i], live[i])
-			}
-		}
-		grid := pred.PredictAll(k.Features)
-		if len(entry.Grid) != len(grid) {
-			t.Fatalf("%s: stored grid has %d points, live %d", k.Name, len(entry.Grid), len(grid))
+		if grid := pred.PredictAll(k.Features); !reflect.DeepEqual(entry.Grid, grid) {
+			t.Fatalf("%s: stored grid %v, live %v", k.Name, entry.Grid, grid)
 		}
 		checked++
 	}

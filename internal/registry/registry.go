@@ -630,7 +630,8 @@ func (s *Store) remember(sum [sha256.Size]byte, sf *snapshotFile, fronts *Fronts
 // The returned models predict bit-identically to the set that was saved.
 // Corrupt or truncated snapshots are rejected with an error wrapping
 // ErrCorrupt; snapshots recorded under a different feature schema are
-// rejected as incompatible.
+// rejected as incompatible, and models whose support vectors are not
+// features.Dim wide with an error wrapping ErrIncompatible.
 func (s *Store) Load(device, version string) (*core.Models, Manifest, error) {
 	m, _, man, err := s.LoadFull(device, version)
 	return m, man, err
@@ -648,11 +649,24 @@ func (s *Store) LoadFull(device, version string) (*core.Models, *Fronts, Manifes
 		return nil, nil, Manifest{}, fmt.Errorf("registry: %s/%s: snapshot feature schema is incompatible with this binary",
 			device, v.man.Version)
 	}
-	m, err := core.Load(bytes.NewReader(v.models))
+	m, err := loadModels(device, v.man.Version, v.models)
 	if err != nil {
-		return nil, nil, Manifest{}, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, v.man.Version, err)
+		return nil, nil, Manifest{}, err
 	}
 	return m, v.fronts, v.man, nil
+}
+
+// loadModels deserializes a verified document's models section. Models
+// that are not features.Dim wide are rejected with ErrIncompatible, models
+// that do not decode with ErrCorrupt.
+func loadModels(device, version string, raw []byte) (*core.Models, error) {
+	m, err := core.Load(bytes.NewReader(raw))
+	if errors.Is(err, core.ErrDim) {
+		return nil, fmt.Errorf("%w: %s/%s: %v", ErrIncompatible, device, version, err)
+	} else if err != nil {
+		return nil, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, device, version, err)
+	}
+	return m, nil
 }
 
 // LoadFronts reads, integrity-checks, and returns only the snapshot's

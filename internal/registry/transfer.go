@@ -51,8 +51,9 @@ func (s *Store) ExportDoc(device, version string) ([]byte, error) {
 // byte-for-byte — models, fronts, and manifest survive the transfer
 // unchanged, so the importing store serves bit-identically to the
 // exporting one. Verification order: the device and version ids must be
-// well formed, the content hash must match (ErrCorrupt otherwise), and
-// the feature schema must match the running binary (ErrIncompatible).
+// well formed, the content hash must match and the models must decode
+// (ErrCorrupt otherwise), and the feature schema and the models' input
+// width must match the running binary (ErrIncompatible).
 // Re-importing a version that already exists with the same content hash
 // is an idempotent no-op; a version-id collision with different content
 // is an error. ImportDoc never activates — callers decide what to serve.
@@ -69,6 +70,9 @@ func (s *Store) ImportDoc(doc []byte) (Manifest, error) {
 		}
 		fronts, err := sf.check(sf.Manifest.Device, sf.Manifest.Version)
 		if err != nil {
+			return Manifest{}, err
+		}
+		if _, err := loadModels(sf.Manifest.Device, sf.Manifest.Version, sf.Models); err != nil {
 			return Manifest{}, err
 		}
 		v = s.remember(sum, &sf, fronts)

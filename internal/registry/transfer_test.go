@@ -164,6 +164,42 @@ func TestImportDocRejectsSchemaMismatch(t *testing.T) {
 	}
 }
 
+// TestWrongWidthModelsAreIncompatible pins the input-width check: a
+// snapshot whose support vectors are not features.Dim wide is intact (its
+// hash matches) but cannot predict this binary's rows, so both the owning
+// store's Load and a receiving store's ImportDoc refuse it with
+// ErrIncompatible instead of handing it to a predictor.
+func TestWrongWidthModelsAreIncompatible(t *testing.T) {
+	narrow := func(t *testing.T) *svm.Model {
+		t.Helper()
+		doc := `{"kernel":{"type":"rbf","gamma":0.5},"support_vectors":[[0.1,0.2,0.3]],"coefs":[1],"b":0}`
+		m, err := svm.Load(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	src, _ := Open("")
+	man, err := src.Save("titanx", "", &core.Models{Speedup: constSVM(t, 1), Energy: narrow(t)}, Training{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := src.Load("titanx", man.Version); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("Load of 3-wide models: error = %v, want ErrIncompatible", err)
+	}
+	doc, err := src.ExportDoc("titanx", man.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, _ := Open("")
+	if _, err := dst.ImportDoc(doc); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("ImportDoc of 3-wide models: error = %v, want ErrIncompatible", err)
+	}
+	if es, _ := dst.List("titanx"); len(es) != 0 {
+		t.Fatalf("refused document was published: %v", es)
+	}
+}
+
 func TestImportDocRejectsVersionCollision(t *testing.T) {
 	src, _ := Open("")
 	publishSmall(t, src, "titanx")

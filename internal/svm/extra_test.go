@@ -103,7 +103,8 @@ func TestNumSVAndBatchConsistency(t *testing.T) {
 		t.Errorf("NumSV %d inconsistent with coefs %d / SVs %d",
 			m.NumSV(), len(m.Coefs), len(m.SupportVectors))
 	}
-	out := m.PredictBatch(xs)
+	out := make([]float64, len(xs))
+	m.PredictBatchInto(out, xs)
 	for i := range xs {
 		if out[i] != m.Predict(xs[i]) {
 			t.Errorf("batch mismatch at %d", i)

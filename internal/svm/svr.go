@@ -175,19 +175,10 @@ func (m *Model) predictRBF(x []float64) float64 {
 	return s
 }
 
-// parallelBatchMin is the batch size above which PredictBatch shards rows
-// across GOMAXPROCS goroutines. Below it the spawn overhead dominates the
-// per-row kernel expansion cost.
+// parallelBatchMin is the batch size above which PredictBatchInto shards
+// rows across GOMAXPROCS goroutines. Below it the spawn overhead dominates
+// the per-row kernel expansion cost.
 const parallelBatchMin = 256
-
-// PredictBatch evaluates the model at every row of xs, sharding large
-// batches across GOMAXPROCS workers. It allocates only the result slice;
-// see PredictBatchInto for the allocation-free form.
-func (m *Model) PredictBatch(xs [][]float64) []float64 {
-	out := make([]float64, len(xs))
-	m.PredictBatchInto(out, xs)
-	return out
-}
 
 // PredictBatchInto evaluates the model at every row of xs into out (which
 // must have len(xs) entries). Rows reuse the kernel-specific fast paths

@@ -240,10 +240,8 @@ func TestPredictBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := m.PredictBatch(xs)
-	if len(batch) != 2 {
-		t.Fatalf("batch length %d", len(batch))
-	}
+	batch := make([]float64, len(xs))
+	m.PredictBatchInto(batch, xs)
 	for i, x := range xs {
 		if batch[i] != m.Predict(x) {
 			t.Errorf("batch[%d] != Predict", i)
