@@ -76,11 +76,18 @@ func PolicyEval(opts engine.Options) ([]PolicyEvalTable, error) {
 // PolicyEvalForDevice trains on the given device and evaluates every
 // built-in policy across the twelve test benchmarks.
 func PolicyEvalForDevice(dev *gpu.Device, opts engine.Options) (PolicyEvalTable, error) {
-	h := measure.NewHarness(nvml.NewDevice(dev))
-	eng := engine.New(h, opts)
+	eng := engine.New(measure.NewHarness(nvml.NewDevice(dev)), opts)
 	if _, err := eng.Train(context.Background(), TrainingKernels()); err != nil {
 		return PolicyEvalTable{}, fmt.Errorf("experiments: policy eval training on %s: %w", dev.Name, err)
 	}
+	return policyEvalOn(eng)
+}
+
+// policyEvalOn evaluates every built-in policy across the twelve test
+// benchmarks with an already trained engine.
+func policyEvalOn(eng *engine.Engine) (PolicyEvalTable, error) {
+	h := eng.Harness()
+	dev := h.Device().Sim()
 	pred, err := eng.Predictor()
 	if err != nil {
 		return PolicyEvalTable{}, err
