@@ -741,14 +741,6 @@ func cmdAdapt(args []string) error {
 				r.LastHoldout.CandidateRMSE, r.LastHoldout.ActiveRMSE,
 				r.LastHoldout.Samples, r.LastHoldout.Passed)
 		}
-		if ws := r.LastWarmStart; ws != nil {
-			if ws.Used {
-				fmt.Printf("  warm start: seeded from %s (%d support vectors re-matched)\n",
-					orNone(ws.FromVersion), ws.MatchedRows)
-			} else {
-				fmt.Printf("  warm start: cold fit — %s\n", ws.Fallback)
-			}
-		}
 		if r.LastError != "" {
 			fmt.Printf("  error: %s\n", r.LastError)
 		}

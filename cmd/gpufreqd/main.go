@@ -136,7 +136,6 @@ func main() {
 	adaptCapacity := flag.Int("adapt-capacity", 0, "observation store bound in samples (0 = default 1024)")
 	adaptRetrainEvery := flag.Int("adapt-retrain-every", 0, "retrain after this many observations regardless of drift (0 = disabled)")
 	adaptMaxAge := flag.Duration("adapt-max-age", 0, "retrain when the active snapshot is older than this (0 = disabled)")
-	adaptWarmStart := flag.Bool("adapt-warm-start", true, "seed automatic retrains from the active models (warm start); manual retrains always fit cold")
 	readConcurrency := flag.Int("read-concurrency", 0, "max in-flight read-plane requests: predict/select/policies (0 = default 64, negative = unlimited)")
 	controlConcurrency := flag.Int("control-concurrency", 0, "max in-flight control-plane requests: train/models/observe/adapt (0 = default 16, negative = unlimited)")
 	obsDir := flag.String("obs-dir", "", "observation WAL directory: persists the observation window so a restart replays it (empty = memory-only)")
@@ -200,14 +199,13 @@ func main() {
 		Workers: *workers,
 		Core:    core.Options{SettingsPerKernel: *settings},
 	}), store, *deviceName, adapt.Config{
-		Auto:             *adaptAuto,
-		DriftFactor:      *adaptFactor,
-		MinSamples:       *adaptMinSamples,
-		Cooldown:         *adaptCooldown,
-		Capacity:         *adaptCapacity,
-		RetrainEvery:     *adaptRetrainEvery,
-		MaxModelAge:      *adaptMaxAge,
-		DisableWarmStart: !*adaptWarmStart,
+		Auto:         *adaptAuto,
+		DriftFactor:  *adaptFactor,
+		MinSamples:   *adaptMinSamples,
+		Cooldown:     *adaptCooldown,
+		Capacity:     *adaptCapacity,
+		RetrainEvery: *adaptRetrainEvery,
+		MaxModelAge:  *adaptMaxAge,
 	}, planeLimits{Read: *readConcurrency, Control: *controlConcurrency}, wal)
 
 	switch {

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"time"
 
@@ -121,14 +120,6 @@ type Config struct {
 	HoldoutMargin float64 `json:"holdout_margin"`
 	// ObservationWeight replicates folded-in observations (default 3).
 	ObservationWeight int `json:"observation_weight"`
-	// DisableWarmStart forces every retrain to fit from scratch instead of
-	// seeding the solver from the active model's solution. Warm starts are
-	// on by default: automatic retrains (drift, sample-count, age) reuse
-	// the active models' support-vector state and converge orders of
-	// magnitude faster on the mostly-unchanged corpus. Manual retrains are
-	// always cold — they exist to escape a bad model, so they must not
-	// inherit its state.
-	DisableWarmStart bool `json:"disable_warm_start,omitempty"`
 	// Sync runs triggered retrains inline in Observe instead of in a
 	// background goroutine — used by the experiments and tests, where the
 	// deterministic ordering matters; servers leave it false.
@@ -215,39 +206,12 @@ const (
 	OutcomeFailed = "failed"
 )
 
-// Trigger-reason prefixes. trigger() builds its reasons from these; the
-// warm-start decision keys on them, so automatic retrains (whose corpus is
-// the active model's corpus plus a small window of new observations) seed
-// from the active solution while manual retrains always start cold.
+// Trigger-reason prefixes: trigger() builds its reasons from these.
 const (
 	reasonDriftPrefix  = "drift: "
 	reasonSamplePrefix = "sample-count policy: "
 	reasonAgePrefix    = "age policy: "
 )
-
-// warmEligible reports whether a retrain trigger may seed from the active
-// models. Only the automatic policies qualify; anything else — manual
-// retrains, API-forced retrains — fits cold.
-func warmEligible(reason string) bool {
-	return strings.HasPrefix(reason, reasonDriftPrefix) ||
-		strings.HasPrefix(reason, reasonSamplePrefix) ||
-		strings.HasPrefix(reason, reasonAgePrefix)
-}
-
-// WarmStartReport records how the last retrain's fit was seeded, for
-// /adapt/status. Used false with an empty Fallback means warm starting was
-// never considered (no retrain yet).
-type WarmStartReport struct {
-	// Used reports whether the fit was seeded from the active models.
-	Used bool `json:"used"`
-	// FromVersion is the active snapshot version that seeded the fit.
-	FromVersion string `json:"from_version,omitempty"`
-	// MatchedRows is the number of prior support vectors re-matched
-	// against the new training matrix, summed over both models.
-	MatchedRows int `json:"matched_rows,omitempty"`
-	// Fallback names why the retrain fitted cold instead ("" when warm).
-	Fallback string `json:"fallback,omitempty"`
-}
 
 // HoldoutReport records the candidate-vs-active comparison of one retrain.
 type HoldoutReport struct {
@@ -284,8 +248,6 @@ type RetrainState struct {
 	LastAt time.Time `json:"last_at,omitempty"`
 	// LastHoldout is the last retrain's holdout comparison.
 	LastHoldout *HoldoutReport `json:"last_holdout,omitempty"`
-	// LastWarmStart records how the last retrain's fit was seeded.
-	LastWarmStart *WarmStartReport `json:"last_warm_start,omitempty"`
 	// CooldownUntil is when the next automatic retrain may start.
 	CooldownUntil time.Time `json:"cooldown_until,omitempty"`
 }
@@ -528,7 +490,7 @@ func (c *Controller) runRetrain(ctx context.Context, reason string) (RetrainStat
 		return st, err
 	}
 
-	pred, activeVersion, ok := c.deps.Current()
+	pred, _, ok := c.deps.Current()
 	if !ok {
 		return finish(OutcomeFailed, "", nil, ErrNoModel)
 	}
@@ -544,25 +506,9 @@ func (c *Controller) runRetrain(ctx context.Context, reason string) (RetrainStat
 			samples = append(samples, s)
 		}
 	}
-	prior, ws := c.warmSeed(pred, activeVersion, reason)
-	st.LastWarmStart = ws
-	models, tr, err := c.deps.Trainer.Fit(ctx, samples, prior)
-	if err != nil && prior != nil {
-		// A warm fit that errors (kernel or dimension mismatch against the
-		// prior) must not take the retrain down with it: record the
-		// fallback and fit cold.
-		*ws = WarmStartReport{Fallback: "warm fit failed: " + err.Error()}
-		models, tr, err = c.deps.Trainer.Fit(ctx, samples, nil)
-	}
+	models, tr, err := c.deps.Trainer.Fit(ctx, samples, nil)
 	if err != nil {
 		return finish(OutcomeFailed, "", nil, fmt.Errorf("adapt: training candidate: %w", err))
-	}
-	if ws.Used {
-		ws.MatchedRows = warmMatched(models)
-		tr.WarmStart = &registry.WarmStartInfo{
-			FromVersion: ws.FromVersion,
-			MatchedRows: ws.MatchedRows,
-		}
 	}
 	// The manifest records distinct live observations, not the
 	// weight-replicated sample count the trainer saw.
@@ -590,47 +536,6 @@ func (c *Controller) runRetrain(ctx context.Context, reason string) (RetrainStat
 		return finish(OutcomeFailed, version, &hr, fmt.Errorf("adapt: activating %s: %w", version, err))
 	}
 	return finish(OutcomeActivated, version, &hr, nil)
-}
-
-// warmSeed decides whether this retrain may seed the solver from the active
-// models and returns the prior to pass to the trainer (nil = cold) plus the
-// report for /adapt/status. Warm requires: warm starts enabled, an
-// automatic trigger (manual retrains exist to escape a bad model, so they
-// never inherit its state), and an active snapshot whose recorded feature
-// schema still matches the running binary — models built against a
-// different feature layout cannot seed rows meaningfully.
-func (c *Controller) warmSeed(pred *engine.Predictor, version, reason string) (*core.Models, *WarmStartReport) {
-	if c.cfg.DisableWarmStart {
-		return nil, &WarmStartReport{Fallback: "disabled by configuration"}
-	}
-	if !warmEligible(reason) {
-		return nil, &WarmStartReport{Fallback: "manual retrains always fit cold"}
-	}
-	man, err := c.deps.Store.GetManifest(c.deps.Device, version)
-	if err != nil {
-		return nil, &WarmStartReport{Fallback: "active manifest unavailable: " + err.Error()}
-	}
-	if !man.Schema.Equal(registry.CurrentSchema()) {
-		return nil, &WarmStartReport{Fallback: "feature schema changed since " + version}
-	}
-	prior := pred.Core().Models
-	if prior == nil || prior.Speedup == nil || prior.Energy == nil {
-		return nil, &WarmStartReport{Fallback: "active predictor carries no models"}
-	}
-	return prior, &WarmStartReport{Used: true, FromVersion: version}
-}
-
-// warmMatched sums the re-matched support-vector counts over both fitted
-// models (zero when the trainer ignored the warm seed).
-func warmMatched(m *core.Models) int {
-	n := 0
-	if m.Speedup != nil && m.Speedup.Warm != nil {
-		n += m.Speedup.Warm.Matched
-	}
-	if m.Energy != nil && m.Energy.Warm != nil {
-		n += m.Energy.Warm.Matched
-	}
-	return n
 }
 
 // split partitions the observations into fold-in and holdout sets: every

@@ -518,3 +518,45 @@ func TestHoldoutSplitSpansWindow(t *testing.T) {
 		t.Fatalf("holdout = %v, want every 4th observation", holdout)
 	}
 }
+
+// priorTrainer is a fakeTrainer that fails any Fit handed a prior: every
+// retrain, automatic or manual, fits from scratch.
+type priorTrainer struct{ fakeTrainer }
+
+func (p priorTrainer) Fit(ctx context.Context, extra []core.Sample, prior *core.Models) (*core.Models, registry.Training, error) {
+	if prior != nil {
+		return nil, registry.Training{}, fmt.Errorf("retrain passed a prior model set")
+	}
+	return p.fakeTrainer.Fit(ctx, extra, prior)
+}
+
+func TestAutoRetrainFitsCold(t *testing.T) {
+	r := newRig(t, constModels(t, 1, 1), registry.Training{})
+	c := New(Config{Auto: true, Sync: true, RetrainEvery: 5}, r.deps(priorTrainer{fakeTrainer{models: constModels(t, 1, 1)}}))
+	for i := 0; i < 5; i++ {
+		if _, err := c.Observe(obs(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Status().Retrain
+	if st.Retrains != 1 || st.LastOutcome != OutcomeActivated {
+		t.Fatalf("sample-count retrain: %d retrains, outcome %q (%s)", st.Retrains, st.LastOutcome, st.LastError)
+	}
+}
+
+func TestManualRetrainAlwaysCold(t *testing.T) {
+	r := newRig(t, constModels(t, 1, 1), registry.Training{})
+	c := New(Config{}, r.deps(priorTrainer{fakeTrainer{models: constModels(t, 1, 1)}}))
+	for i := 0; i < 4; i++ {
+		if _, err := c.Observe(obs(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Retrain(context.Background(), "manual test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LastOutcome != OutcomeActivated {
+		t.Fatalf("manual retrain outcome %q (%s), want activated", st.LastOutcome, st.LastError)
+	}
+}

@@ -17,8 +17,9 @@ import (
 type Trainer interface {
 	// Fit trains candidate models on the base corpus extended with extra
 	// samples and reports the training metadata for the snapshot manifest.
-	// A non-nil prior seeds both fits from the corresponding prior models
-	// (warm start); implementations that cannot warm-start may ignore it.
+	// prior is ignored: the controller passes nil, and the parameter stays
+	// only while the offline benchmark trace still passes the serving
+	// models (ROADMAP.md lists its removal with the trace's retirement).
 	Fit(ctx context.Context, extra []core.Sample, prior *core.Models) (*core.Models, registry.Training, error)
 }
 
@@ -47,10 +48,7 @@ func NewEngineTrainer(eng *engine.Engine, kernels []core.TrainingKernel) *Engine
 }
 
 // baseMatrix builds (once) the synthetic training set and its solver
-// layout. Reusing the laid-out design rows across retrains is also what
-// makes warm starts bit-exact: the unchanged corpus rows are the same
-// float64 storage every retrain, so the prior model's support vectors
-// re-match them identically.
+// layout, reused across retrains.
 func (t *EngineTrainer) baseMatrix(ctx context.Context) (*core.TrainingMatrix, error) {
 	t.baseOnce.Do(func() {
 		kernels := t.Kernels
@@ -67,15 +65,14 @@ func (t *EngineTrainer) baseMatrix(ctx context.Context) (*core.TrainingMatrix, e
 }
 
 // Fit implements Trainer: base synthetic samples plus the observations,
-// fitted through the engine's concurrent SVR path, warm-seeded from prior
-// when one is supplied.
-func (t *EngineTrainer) Fit(ctx context.Context, extra []core.Sample, prior *core.Models) (*core.Models, registry.Training, error) {
+// fitted through the engine's concurrent SVR path. prior is ignored.
+func (t *EngineTrainer) Fit(ctx context.Context, extra []core.Sample, _ *core.Models) (*core.Models, registry.Training, error) {
 	base, err := t.baseMatrix(ctx)
 	if err != nil {
 		return nil, registry.Training{}, err
 	}
 	m := base.WithExtra(extra)
-	models, err := t.eng.FitMatrix(ctx, m, prior)
+	models, err := t.eng.FitMatrix(ctx, m)
 	if err != nil {
 		return nil, registry.Training{}, err
 	}

@@ -204,44 +204,19 @@ type Models struct {
 }
 
 // Train fits the speedup and normalized-energy SVR models on the training
-// set (training-phase steps 5–6 of Fig. 2).
+// set (training-phase steps 5–6 of Fig. 2). It is the sequential reference
+// path; the engine's FitMatrix runs the same two fits concurrently.
 func Train(samples []Sample, opt Options) (*Models, error) {
-	return TrainWarm(samples, opt, nil)
-}
-
-// TrainWarm is Train with an optional warm start: when prior is non-nil,
-// each fit is seeded from the corresponding prior model via
-// svm.Params.WarmStart, which re-matches prior support vectors against the
-// new design rows by bit-exact identity. On the adaptation workload — an
-// unchanged synthetic corpus with a few observation rows folded in — the
-// seeded solve converges orders of magnitude faster than a cold fit and, on
-// an identical corpus, reproduces the prior models bit-for-bit.
-func TrainWarm(samples []Sample, opt Options, prior *Models) (*Models, error) {
 	opt = opt.WithDefaults()
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: empty training set")
 	}
-	return TrainMatrix(NewTrainingMatrix(samples), opt, prior)
-}
-
-// TrainMatrix fits both models on a prebuilt matrix. It is the sequential
-// reference path under Train and TrainWarm; the engine's FitMatrix runs the
-// same two fits concurrently.
-func TrainMatrix(m *TrainingMatrix, opt Options, prior *Models) (*Models, error) {
-	opt = opt.WithDefaults()
-	if m.Len() == 0 {
-		return nil, fmt.Errorf("core: empty training set")
-	}
-	ps, pe := opt.Params, opt.Params
-	if prior != nil {
-		ps.WarmStart = prior.Speedup
-		pe.WarmStart = prior.Energy
-	}
-	sm, err := svm.Train(m.Rows, m.Speedup, opt.SpeedupKernel, ps)
+	m := NewTrainingMatrix(samples)
+	sm, err := svm.Train(m.Rows, m.Speedup, opt.SpeedupKernel, opt.Params)
 	if err != nil {
 		return nil, fmt.Errorf("core: training speedup model: %w", err)
 	}
-	em, err := svm.Train(m.Rows, m.Energy, opt.EnergyKernel, pe)
+	em, err := svm.Train(m.Rows, m.Energy, opt.EnergyKernel, opt.Params)
 	if err != nil {
 		return nil, fmt.Errorf("core: training energy model: %w", err)
 	}

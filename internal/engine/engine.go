@@ -176,33 +176,22 @@ feed:
 // Fit trains the speedup and normalized-energy SVRs concurrently — the two
 // fits share the design matrix but no solver state, so they are
 // embarrassingly parallel. The context is honored at entry and its error
-// reported after the fits complete (SMO itself is not interruptible).
+// reported after the fits complete (the solvers are not interruptible).
 func (e *Engine) Fit(ctx context.Context, samples []core.Sample) (*core.Models, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("engine: empty training set")
 	}
-	return e.FitMatrix(ctx, core.NewTrainingMatrix(samples), nil)
+	return e.FitMatrix(ctx, core.NewTrainingMatrix(samples))
 }
 
-// FitMatrix is Fit over a prebuilt training matrix, with an optional warm
-// start: when prior is non-nil each fit is seeded from the corresponding
-// prior model (svm.Params.WarmStart), which on the adaptation workload —
-// unchanged corpus rows plus a few folded-in observations — converges orders
-// of magnitude faster than a cold fit. The two fits still run concurrently;
-// each goroutine gets its own Params copy, so the shared options are never
-// mutated.
-func (e *Engine) FitMatrix(ctx context.Context, m *core.TrainingMatrix, prior *core.Models) (*core.Models, error) {
+// FitMatrix is Fit over a prebuilt training matrix.
+func (e *Engine) FitMatrix(ctx context.Context, m *core.TrainingMatrix) (*core.Models, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	opt := e.opts.Core.WithDefaults()
 	if m.Len() == 0 {
 		return nil, errors.New("engine: empty training set")
-	}
-	ps, pe := opt.Params, opt.Params
-	if prior != nil {
-		ps.WarmStart = prior.Speedup
-		pe.WarmStart = prior.Energy
 	}
 
 	var (
@@ -213,11 +202,11 @@ func (e *Engine) FitMatrix(ctx context.Context, m *core.TrainingMatrix, prior *c
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		sm, sErr = svm.Train(m.Rows, m.Speedup, opt.SpeedupKernel, ps)
+		sm, sErr = svm.Train(m.Rows, m.Speedup, opt.SpeedupKernel, opt.Params)
 	}()
 	go func() {
 		defer wg.Done()
-		em, eErr = svm.Train(m.Rows, m.Energy, opt.EnergyKernel, pe)
+		em, eErr = svm.Train(m.Rows, m.Energy, opt.EnergyKernel, opt.Params)
 	}()
 	wg.Wait()
 

@@ -43,6 +43,7 @@ func TestGolden(t *testing.T) {
 	}{
 		{"titanx-10", gpu.TitanX(), 10},
 		{"p100-10", gpu.P100(), 10},
+		{"titanx-40", gpu.TitanX(), 40}, // the paper's scale
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := goldenReport(t, c.dev, c.settings)

@@ -86,31 +86,19 @@ type Training struct {
 	// baseline. Zero in snapshots published before residual recording.
 	SpeedupRMSE float64 `json:"speedup_rmse,omitempty"`
 	EnergyRMSE  float64 `json:"energy_rmse,omitempty"`
-	// WarmStart records that the fit was seeded from a prior snapshot's
-	// models instead of starting cold. Nil for cold fits.
-	WarmStart *WarmStartInfo `json:"warm_start,omitempty"`
-}
-
-// WarmStartInfo records a warm-started training run's seeding provenance in
-// the snapshot manifest. The model weights themselves are identical in form
-// to a cold fit's — this is metadata about how the solve started, not about
-// the solution.
-type WarmStartInfo struct {
-	// FromVersion is the snapshot version whose models seeded the fit.
-	FromVersion string `json:"from_version"`
-	// MatchedRows is the total number of prior support vectors re-matched
-	// against the new design matrix, summed over both models.
-	MatchedRows int `json:"matched_rows"`
 }
 
 // ModelInfo is one model's solver statistics, frozen into the manifest.
 type ModelInfo struct {
 	// SupportVectors is the trained model's support-vector count.
 	SupportVectors int `json:"support_vectors"`
-	// Iters is the number of SMO iterations the fit performed.
+	// Iters is the number of solver iterations the fit performed:
+	// interior-point iterations for the linear speedup model, SMO
+	// iterations for the kernel models.
 	Iters int `json:"iters"`
-	// Converged reports whether the fit reached the KKT tolerance rather
-	// than the iteration cap.
+	// Converged reports whether the fit met its solver's stopping rule
+	// (a certified relative duality gap of 1e-9 for the linear model, the
+	// KKT tolerance for SMO) rather than its iteration limit.
 	Converged bool `json:"converged"`
 }
 
@@ -646,8 +634,8 @@ func (s *Store) LoadFull(device, version string) (*core.Models, *Fronts, Manifes
 		return nil, nil, Manifest{}, err
 	}
 	if !v.man.Schema.Equal(CurrentSchema()) {
-		return nil, nil, Manifest{}, fmt.Errorf("registry: %s/%s: snapshot feature schema is incompatible with this binary",
-			device, v.man.Version)
+		return nil, nil, Manifest{}, fmt.Errorf("%w: %s/%s was recorded under a different feature schema",
+			ErrIncompatible, device, v.man.Version)
 	}
 	m, err := loadModels(device, v.man.Version, v.models)
 	if err != nil {

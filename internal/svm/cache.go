@@ -60,18 +60,10 @@ func newRowCache(k Kernel, d *designMatrix, capRows int) *rowCache {
 		x := d.row(i)
 		diags[i] = k.Eval(x, x)
 	}
-	fillWorkers := runtime.GOMAXPROCS(0)
-	if _, cheap := rk.(linearRows); cheap {
-		// A linear row is ~n·dim flops of streaming memory work — a few
-		// microseconds even at paper scale — so per-miss goroutine fan-out
-		// costs more than it saves. Only transcendental kernels (exp/pow
-		// per entry) amortize the spawn overhead.
-		fillWorkers = 1
-	}
 	return &rowCache{
 		k: k, rk: rk, d: d, cap: capRows,
 		rows: make(map[int]*rowEntry, capRows), diags: diags,
-		fillWorkers: fillWorkers,
+		fillWorkers: runtime.GOMAXPROCS(0),
 	}
 }
 

@@ -22,3 +22,45 @@ func RefTrainModel(xs [][]float64, ys []float64, k Kernel, p Params) *Model {
 	m.finalize()
 	return m
 }
+
+// Dot is the linear kernel under another type. Train sends Linear to the
+// interior-point solver, so tests that exercise SMO itself (shrinking, the
+// iteration cap, the row cache, the reference equivalence) train Dot,
+// which reaches SMO through genericRows.
+type Dot struct{}
+
+// Eval returns the dot product of a and b.
+func (Dot) Eval(a, b []float64) float64 { return Linear{}.Eval(a, b) }
+
+// String names the kernel.
+func (Dot) String() string { return "dot" }
+
+// LinearDuals runs the linear interior-point fit and returns its dual
+// solution before it is folded into w: a model over the training rows with
+// coefficients β = α − α* and the fit's offset. An interior point keeps
+// every multiplier strictly inside its box, so each one is first resolved
+// against its complementary slack: α_i is 0 where α_i ≤ s_i and C where
+// C − α_i ≤ ξ_i (likewise α*_i against t_i and ξ*_i).
+func LinearDuals(xs [][]float64, ys []float64, p Params) *Model {
+	lin := trainLinear(xs, ys, p.C, p.Epsilon)
+	iters, converged := lin.solve()
+	resolve := func(a, slack, xi float64) float64 {
+		switch {
+		case a <= slack:
+			return 0
+		case p.C-a <= xi:
+			return p.C
+		}
+		return a
+	}
+	m := &Model{B: lin.b, kernel: Linear{}, Iters: iters, Converged: converged}
+	for i, x := range xs {
+		beta := resolve(lin.a[i], lin.s[i], lin.xi[i]) - resolve(lin.as[i], lin.t[i], lin.xis[i])
+		if beta != 0 {
+			m.SupportVectors = append(m.SupportVectors, x)
+			m.Coefs = append(m.Coefs, beta)
+		}
+	}
+	m.finalize()
+	return m
+}

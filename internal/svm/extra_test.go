@@ -34,11 +34,11 @@ func TestTinyRowCacheStillConverges(t *testing.T) {
 		xs = append(xs, []float64{a, b})
 		ys = append(ys, 1+a-2*b)
 	}
-	big, err := Train(xs, ys, Linear{}, Params{C: 100, Epsilon: 0.05})
+	big, err := Train(xs, ys, Dot{}, Params{C: 100, Epsilon: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := Train(xs, ys, Linear{}, Params{C: 100, Epsilon: 0.05, CacheRows: 2})
+	small, err := Train(xs, ys, Dot{}, Params{C: 100, Epsilon: 0.05, CacheRows: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMaxIterCapReported(t *testing.T) {
 		xs = append(xs, []float64{a})
 		ys = append(ys, math.Sin(20*a)) // hard for a linear kernel
 	}
-	m, err := Train(xs, ys, Linear{}, Params{C: 1e6, Epsilon: 1e-6, MaxIter: 25})
+	m, err := Train(xs, ys, Dot{}, Params{C: 1e6, Epsilon: 1e-6, MaxIter: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,17 +78,20 @@ func TestMaxIterCapReported(t *testing.T) {
 }
 
 func TestOffsetWithAllBoundSVs(t *testing.T) {
-	// Two conflicting targets beyond the tube push both alphas to C; the
-	// offset must fall back to the feasible-interval midpoint.
+	// Two conflicting targets beyond the tube push both alphas to C; SMO's
+	// offset must fall back to the feasible-interval midpoint, and the
+	// interior-point fit lands on the same analytic centre.
 	xs := [][]float64{{0}, {0}}
 	ys := []float64{0, 2}
-	m, err := Train(xs, ys, Linear{}, Params{C: 1, Epsilon: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Predict([]float64{0})
-	if math.Abs(got-1) > 0.15 {
-		t.Errorf("conflicting targets: Predict = %.3f, want ~1 (midpoint)", got)
+	for _, k := range []Kernel{Dot{}, Linear{}} {
+		m, err := Train(xs, ys, k, Params{C: 1, Epsilon: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.Predict([]float64{0})
+		if math.Abs(got-1) > 0.15 {
+			t.Errorf("%v: conflicting targets: Predict = %.3f, want ~1 (midpoint)", k, got)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package svm implements ε-support-vector regression trained with a
-// LIBSVM-style SMO solver, supporting the linear and RBF kernels the paper
-// selects for its speedup and normalized-energy models (Section 3.4) plus a
-// polynomial kernel for ablations. Stdlib only.
+// Package svm implements ε-support-vector regression with the linear and
+// RBF kernels the paper selects for its speedup and normalized-energy
+// models (Section 3.4), plus a polynomial kernel for ablations. Linear fits
+// are solved exactly in the primal by an interior-point method; every other
+// kernel is trained by a LIBSVM-style SMO solver on the dual. Stdlib only.
 package svm
 
 import (
@@ -83,32 +84,16 @@ type rowKernel interface {
 	fillRow(d *designMatrix, i, lo, hi int, dst []float64)
 }
 
-// rowKernelFor returns the specialized row filler for the built-in kernels
-// and a generic per-element fallback for anything else.
+// rowKernelFor returns the specialized row filler for the SMO-trained
+// built-in kernels and a generic per-element fallback for anything else.
 func rowKernelFor(k Kernel) rowKernel {
 	switch k := k.(type) {
-	case Linear:
-		return linearRows{}
 	case RBF:
 		return rbfRows{gamma: k.Gamma}
 	case Poly:
 		return polyRows{k}
 	default:
 		return genericRows{k}
-	}
-}
-
-type linearRows struct{}
-
-func (linearRows) fillRow(d *designMatrix, i, lo, hi int, dst []float64) {
-	xi := d.row(i)
-	for j := lo; j < hi; j++ {
-		xj := d.row(j)
-		s := 0.0
-		for t, v := range xi {
-			s += v * xj[t]
-		}
-		dst[j] = s
 	}
 }
 

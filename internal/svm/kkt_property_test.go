@@ -1,11 +1,11 @@
 package svm_test
 
-// Property sweep: every model class this package trains — the preserved
-// reference solver, the production solver with shrinking on and off, warm-
-// started fits, and iteration-capped partial fits — must produce a model
-// that passes the shared svmtest verification at its own tolerance. The
-// checks run in an external test package because the checker itself lives
-// in svmtest, which imports svm.
+// Property sweep: every model class SMO trains — the preserved reference
+// solver, the production solver with shrinking on and off, and
+// iteration-capped partial fits — must produce a model that passes the
+// shared svmtest verification at its own tolerance, and so must the linear
+// interior-point fit's duals. The checks run in an external test package
+// because the checker itself lives in svmtest, which imports svm.
 
 import (
 	"math"
@@ -33,6 +33,8 @@ type propSet struct {
 
 // propSets builds one dataset per kernel family, shaped like the internal
 // suite's: targets each kernel can actually fit, so every class converges.
+// The linear family trains svm.Dot, the dot product under a type that
+// Train sends to SMO.
 func propSets() []propSet {
 	linXs := make([][]float64, 150)
 	linYs := make([]float64, 150)
@@ -60,7 +62,7 @@ func propSets() []propSet {
 	}
 	pp := svm.Params{C: 1000, Epsilon: 0.1}
 	return []propSet{
-		{"linear", linXs, linYs, svm.Linear{}, pp},
+		{"linear", linXs, linYs, svm.Dot{}, pp},
 		{"rbf", rbfXs, rbfYs, svm.RBF{Gamma: 2}, pp},
 		{"poly", polyXs, polyYs, svm.Poly{Gamma: 1, Coef0: 1, Degree: 2}, pp},
 	}
@@ -85,15 +87,6 @@ func TestKKTPropertySweep(t *testing.T) {
 				{"shrinking-off", func() (*svm.Model, error) {
 					p := set.p
 					p.DisableShrinking = true
-					return svm.Train(set.xs, set.ys, set.k, p)
-				}},
-				{"warm-started", func() (*svm.Model, error) {
-					prior, err := svm.Train(set.xs, set.ys, set.k, set.p)
-					if err != nil {
-						return nil, err
-					}
-					p := set.p
-					p.WarmStart = prior
 					return svm.Train(set.xs, set.ys, set.k, p)
 				}},
 			}
@@ -169,5 +162,20 @@ func TestVerifyKKTDetectsBrokenModels(t *testing.T) {
 	}
 	if err := svmtest.VerifyKKT(m, other, set.ys, set.p, 0); err == nil {
 		t.Error("model verified against a foreign training set")
+	}
+}
+
+// TestLinearIPMDualsPassKKT certifies the interior-point fit through its
+// duals, before they are folded into w: on the linear property set they
+// must satisfy the same KKT conditions as a converged SMO fit, at a
+// tolerance a thousand times tighter than SMO's.
+func TestLinearIPMDualsPassKKT(t *testing.T) {
+	set := propSets()[0]
+	m := svm.LinearDuals(set.xs, set.ys, set.p)
+	if !m.Converged {
+		t.Fatalf("interior-point fit did not converge in %d iterations", m.Iters)
+	}
+	if err := svmtest.VerifyKKT(m, set.xs, set.ys, set.p, 1e-6); err != nil {
+		t.Fatal(err)
 	}
 }

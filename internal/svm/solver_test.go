@@ -24,7 +24,8 @@ func equivGrid(dim, n int) [][]float64 {
 // off) and the preserved pre-overhaul reference solver on the same data and
 // requires the models to agree: same support-vector count, same offset and
 // predictions within 1e-9, and — since the stopping criterion is identical —
-// the same convergence flag.
+// the same convergence flag. The linear sets train Dot, the dot product
+// under a type that Train sends to SMO rather than the interior-point fit.
 func TestSolverMatchesReference(t *testing.T) {
 	type dataset struct {
 		name string
@@ -45,7 +46,7 @@ func TestSolverMatchesReference(t *testing.T) {
 			xs = append(xs, []float64{a, b, c})
 			ys = append(ys, 1+2*a-3*b+0.5*c+0.05*(r.next()-0.5))
 		}
-		sets = append(sets, dataset{"linear", Linear{}, paperParams, xs, ys})
+		sets = append(sets, dataset{"linear", Dot{}, paperParams, xs, ys})
 	}
 	// RBF on a nonlinear surface.
 	{
@@ -81,7 +82,7 @@ func TestSolverMatchesReference(t *testing.T) {
 			xs = append(xs, []float64{a})
 			ys = append(ys, math.Sin(20*a))
 		}
-		sets = append(sets, dataset{"capped", Linear{},
+		sets = append(sets, dataset{"capped", Dot{},
 			Params{C: 1e6, Epsilon: 1e-6, MaxIter: 5000}, xs, ys})
 	}
 
@@ -137,11 +138,11 @@ func TestShrinkingIterationSemantics(t *testing.T) {
 		xs = append(xs, []float64{a, b})
 		ys = append(ys, a+0.5*b)
 	}
-	on, err := Train(xs, ys, Linear{}, paperParams)
+	on, err := Train(xs, ys, Dot{}, paperParams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := Train(xs, ys, Linear{}, Params{C: paperParams.C, Epsilon: paperParams.Epsilon, DisableShrinking: true})
+	off, err := Train(xs, ys, Dot{}, Params{C: paperParams.C, Epsilon: paperParams.Epsilon, DisableShrinking: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +171,11 @@ func TestCacheRowsFloorClamped(t *testing.T) {
 		xs = append(xs, []float64{a, b})
 		ys = append(ys, 2*a-b)
 	}
-	def, err := Train(xs, ys, Linear{}, Params{C: 100, Epsilon: 0.05})
+	def, err := Train(xs, ys, Dot{}, Params{C: 100, Epsilon: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Train(xs, ys, Linear{}, Params{C: 100, Epsilon: 0.05, CacheRows: 1})
+	one, err := Train(xs, ys, Dot{}, Params{C: 100, Epsilon: 0.05, CacheRows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

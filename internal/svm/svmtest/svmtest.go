@@ -1,18 +1,13 @@
 // Package svmtest provides model-verification helpers shared by the SVR
-// solver tests and the warm-start equivalence battery: a KKT-residual
-// checker certifying that a trained ε-SVR model is optimal (to a tolerance)
-// for the rows it was trained on, a feasibility check for iteration-capped
-// fits, holdout RMSE, and a stable content signature for bit-identity
-// comparisons. It is a production (non _test) package so that external test
+// solver tests: a KKT-residual checker certifying that a trained ε-SVR
+// model is optimal (to a tolerance) for the rows it was trained on, and a
+// feasibility check for iteration-capped fits. It is a production (non _test) package so that external test
 // packages across the repository — and future fleet verification tooling —
 // can import one shared implementation of "is this model actually a
 // solution", rather than each suite re-deriving the dual conditions.
 package svmtest
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 
@@ -21,14 +16,12 @@ import (
 
 // sumTol bounds the equality-constraint residue |Σβ| relative to C. An
 // exactly-solved dual has Σβ = 0; the solver's support-vector cutoff
-// (|β| ≤ 1e-12 rows are dropped from the model) and the warm-start
-// projection each leave residues at that scale, a factor 1e-6 below any C
-// used in practice.
+// (|β| ≤ 1e-12 rows are dropped from the model) leaves residues at that
+// scale, a factor 1e-6 below any C used in practice.
 const sumTol = 1e-6
 
 // betasFor matches each of the model's support vectors to a training row by
-// bit-exact row identity — the same identity the warm-start path uses — and
-// returns the per-row coefficient vector (0 for non-support rows).
+// bit-exact row identity and returns the per-row coefficient vector (0 for non-support rows).
 // Duplicated rows consume duplicated support vectors in order. It errors
 // when a support vector matches no row: the model was not trained on xs.
 func betasFor(m *svm.Model, xs [][]float64) ([]float64, error) {
@@ -80,8 +73,8 @@ func betasFor(m *svm.Model, xs [][]float64) ([]float64, error) {
 // plus the box constraint |β| ≤ C and the equality constraint Σβ ≈ 0.
 // These are exactly the conditions the solver's maximal-violating-pair
 // stopping criterion guarantees at convergence, expressed against the
-// model's own offset, so every converged fit — cold or warm-started — must
-// pass at its own tolerance. A nil error means the model is a certified
+// model's own offset, so every converged fit must pass at its own
+// tolerance. A nil error means the model is a certified
 // solution; any other return pinpoints the worst violation.
 func VerifyKKT(m *svm.Model, xs [][]float64, ys []float64, p svm.Params, tol float64) error {
 	if len(xs) == 0 || len(ys) != len(xs) {
@@ -163,48 +156,4 @@ func VerifyFeasibility(m *svm.Model, p svm.Params) error {
 		return fmt.Errorf("svmtest: C must be positive")
 	}
 	return checkFeasible(m.Coefs, p.C)
-}
-
-// RMSE returns the model's root-mean-square prediction error over a sample
-// set — the holdout metric of the warm/cold equivalence battery.
-func RMSE(m *svm.Model, xs [][]float64, ys []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var ss float64
-	for i, x := range xs {
-		d := m.Predict(x) - ys[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Signature returns the SHA-256 hex digest of the model's canonical
-// serialized form (support vectors, coefficients, offset, kernel). Two
-// models with equal signatures predict bit-identically; the warm-start
-// determinism pin asserts a 0%-delta retrain reproduces the active model's
-// signature exactly.
-func Signature(m *svm.Model) (string, error) {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// Equivalent certifies that a warm-started fit is interchangeable with the
-// cold fit on the same data: both models must be converged and their
-// holdout RMSEs must agree within rmseTol. Combined with VerifyKKT on each
-// model this is the battery's convergence-equivalence criterion.
-func Equivalent(cold, warm *svm.Model, holdXs [][]float64, holdYs []float64, rmseTol float64) error {
-	if !cold.Converged || !warm.Converged {
-		return fmt.Errorf("svmtest: not converged (cold %v, warm %v)", cold.Converged, warm.Converged)
-	}
-	cr, wr := RMSE(cold, holdXs, holdYs), RMSE(warm, holdXs, holdYs)
-	if d := math.Abs(cr - wr); d > rmseTol {
-		return fmt.Errorf("svmtest: holdout RMSE diverged: cold %.9f, warm %.9f (|Δ| = %.3e > %.3e)",
-			cr, wr, d, rmseTol)
-	}
-	return nil
 }

@@ -15,9 +15,14 @@ type Params struct {
 	C float64
 	// Epsilon is the insensitive-tube half width.
 	Epsilon float64
-	// Tol is the KKT violation tolerance for convergence (default 1e-3).
+	// Tol is the SMO KKT violation tolerance for convergence (default
+	// 1e-3). The linear interior-point fit does not read it: it stops on a
+	// certified relative duality gap of 1e-9.
 	Tol float64
 	// MaxIter caps SMO iterations; <=0 means 200×n with a floor of 100k.
+	// The linear interior-point fit does not read it: it takes a few dozen
+	// iterations and stops at a fixed internal limit of 100 without
+	// certifying the gap, reporting Converged false.
 	MaxIter int
 	// CacheRows bounds the kernel row cache in entries (default 768).
 	// Each cached row holds one float64 per training sample, so the byte
@@ -34,38 +39,21 @@ type Params struct {
 	// re-checks every variable before declaring convergence, so the
 	// stopping criterion is identical either way.
 	DisableShrinking bool
-	// WarmStart seeds the solver from a previously trained model instead of
-	// from zero: the prior's support vectors are re-matched against the new
-	// design matrix by bit-exact row identity, matched rows start at their
-	// prior β, changed or added rows enter at β = 0, and dropped support
-	// vectors have their mass projected back onto the feasible set before
-	// the first iteration. When the training set is the old corpus ± a
-	// small window, most variables are already KKT-optimal and the fit
-	// converges in a fraction of the cold iterations — with an unchanged
-	// set it reproduces the prior model bit-identically (Model.Warm.Reused).
-	// The prior must use the same kernel and feature dimension; Train
-	// errors loudly otherwise. A warm fit stops by the same rule as a cold
-	// one, the KKT tolerance or the MaxIter cap, whichever comes first:
-	// warm-starting changes the SMO trajectory, never the stopping rule.
-	// Neither fit is guaranteed to converge (the linear speedup fit at
-	// paper scale reaches the iteration cap); Model.Converged reports
-	// whether this one did.
-	WarmStart *Model
 }
 
-// Model is a trained ε-SVR: f(x) = Σ coef_i·K(sv_i, x) + b.
+// Model is a trained ε-SVR: f(x) = Σ coef_i·K(sv_i, x) + b. A linear
+// model holds its primal weights w as one pseudo support vector with
+// coefficient 1, so f(x) = w·x + b.
 type Model struct {
 	SupportVectors [][]float64
 	Coefs          []float64
 	B              float64
 	kernel         Kernel
-	// Iters and Converged describe the training run.
+	// Iters and Converged describe the training run: interior-point
+	// iterations and a certified duality gap for linear models, SMO
+	// iterations and the KKT tolerance for every other kernel.
 	Iters     int
 	Converged bool
-	// Warm reports how a warm-started fit was seeded (nil for cold fits).
-	// It is training-run metadata, not part of the model weights, and is
-	// never serialized.
-	Warm *WarmInfo
 
 	// Prediction fast paths, derived once by finalize: the support
 	// vectors are flattened into one contiguous row-major matrix, linear
@@ -221,7 +209,9 @@ func (m *Model) PredictBatchInto(out []float64, xs [][]float64) {
 // NumSV returns the number of support vectors.
 func (m *Model) NumSV() int { return len(m.SupportVectors) }
 
-// Train fits an ε-SVR on (xs, ys) with the given kernel. It implements SMO
+// Train fits an ε-SVR on (xs, ys) with the given kernel. The Linear kernel
+// is solved in the primal by a primal–dual interior-point method (ipm.go)
+// to a certified relative duality gap of 1e-9. Every other kernel runs SMO
 // on the standard 2n-variable dual with maximal-violating-pair working-set
 // selection, kernel-specialized row computation over a flat design matrix,
 // LIBSVM-style active-set shrinking, and an LRU kernel row cache.
@@ -258,21 +248,19 @@ func Train(xs [][]float64, ys []float64, k Kernel, p Params) (*Model, error) {
 		}
 	}
 
-	var seed *warmSeed
-	if p.WarmStart != nil {
-		var err error
-		if seed, err = buildWarmSeed(p.WarmStart, xs, k, p.C); err != nil {
-			return nil, fmt.Errorf("svm: warm start: %w", err)
-		}
+	if _, ok := k.(Linear); ok {
+		lin := trainLinear(xs, ys, p.C, p.Epsilon)
+		iters, converged := lin.solve()
+		m := &Model{SupportVectors: [][]float64{lin.w}, Coefs: []float64{1}, B: lin.b,
+			kernel: k, Iters: iters, Converged: converged}
+		m.finalize()
+		return m, nil
 	}
 
 	s := &solver{
 		ys: ys,
 		n:  n, c: p.C, eps: p.Epsilon, tol: p.Tol,
 		cache: newRowCache(k, newDesignMatrix(xs), p.CacheRows),
-	}
-	if seed != nil {
-		s.warm = seed.beta
 	}
 	iters, converged := s.solve(maxIter, !p.DisableShrinking)
 
@@ -286,17 +274,6 @@ func Train(xs [][]float64, ys []float64, k Kernel, p Params) (*Model, error) {
 		}
 	}
 	m.B = s.offset()
-	if seed != nil {
-		info := seed.info
-		// An exact seed the solver accepted without moving a single
-		// variable IS the prior dual solution on identical rows: carry the
-		// prior offset over verbatim so the retrain is bit-identical
-		// (offset() would re-derive the same b up to summation order).
-		if info.Reused = seed.exact && converged && !s.moved && p.WarmStart.Converged; info.Reused {
-			m.B = p.WarmStart.B
-		}
-		m.Warm = &info
-	}
 	m.finalize()
 	return m, nil
 }
@@ -339,9 +316,6 @@ type solver struct {
 	baseActive  []bool // len n, membership mask for activeBases
 	fullActive  bool   // active covers all 2n variables
 	unshrunk    bool   // the one-time near-convergence unshrink happened
-
-	warm  []float64 // per-row initial β (nil = cold start from zero)
-	moved bool      // any update changed an alpha (warm-reuse detection)
 }
 
 func (s *solver) z(a int) float64 {
@@ -363,12 +337,8 @@ func (s *solver) solve(maxIter int, shrinking bool) (int, bool) {
 	n2 := 2 * s.n
 	s.alpha = make([]float64, n2)
 	s.grad = make([]float64, n2)
-	if s.warm != nil {
-		s.seedWarm(s.warm)
-	} else {
-		for a := 0; a < n2; a++ {
-			s.grad[a] = s.p(a) // alpha = 0 initially
-		}
+	for a := 0; a < n2; a++ {
+		s.grad[a] = s.p(a) // alpha = 0 initially
 	}
 	s.baseActive = make([]bool, s.n)
 	s.activateAll()
@@ -589,7 +559,6 @@ func (s *solver) update(i, j int) {
 	if dAi == 0 && dAj == 0 {
 		return
 	}
-	s.moved = true
 	// Gradient update over active bases: G_a += Q_ai dAi + Q_aj dAj,
 	// exploiting the block structure Q_ab = z_a z_b K_(a%n)(b%n). Both
 	// entries of a base share one kernel term, so updating the pair costs

@@ -110,7 +110,8 @@ func TestRBFFitsNonlinear(t *testing.T) {
 func TestEpsilonTubeSparsity(t *testing.T) {
 	// Points inside the ε-tube of the solution need not become support
 	// vectors: the model must be sparser than the training set on clean
-	// linear data with a wide tube.
+	// linear data with a wide tube. Sparsity is a property of SMO's dual,
+	// so this trains Dot; a Linear model stores one weight vector.
 	var xs [][]float64
 	var ys []float64
 	for i := 0; i < 200; i++ {
@@ -118,7 +119,7 @@ func TestEpsilonTubeSparsity(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, x)
 	}
-	m, err := Train(xs, ys, Linear{}, Params{C: 10, Epsilon: 0.2})
+	m, err := Train(xs, ys, Dot{}, Params{C: 10, Epsilon: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
