@@ -213,3 +213,27 @@ func TestCmdCharacterizeValidation(t *testing.T) {
 		t.Error("characterize without args should fail")
 	}
 }
+
+// TestCmdSavePaperScaleConverged: a snapshot saved at the paper's 40
+// settings per kernel records both fits as converged, and the linear
+// speedup model as its single weight vector.
+func TestCmdSavePaperScaleConverged(t *testing.T) {
+	modelDir := filepath.Join(t.TempDir(), "models")
+	if err := cmdSave([]string{"-model-dir", modelDir, "-settings", "40"}); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	store, err := registry.Open(modelDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.GetManifest("titanx", "v0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !man.SpeedupModel.Converged || !man.EnergyModel.Converged {
+		t.Fatalf("converged: speedup %+v, energy %+v; want both true", man.SpeedupModel, man.EnergyModel)
+	}
+	if man.SpeedupModel.SupportVectors != 1 {
+		t.Errorf("speedup model stores %d rows, want one weight vector", man.SpeedupModel.SupportVectors)
+	}
+}

@@ -378,6 +378,10 @@ func TestSchemaMismatchRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("schema mismatch load: %v, want schema error", err)
 	}
+	// Load classifies it as ImportDoc does.
+	if !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("schema mismatch load: %v, want ErrIncompatible", err)
+	}
 }
 
 func TestManifestNaNFreeAndFinite(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/features"
 	"repro/internal/svm"
 )
 
@@ -132,18 +133,11 @@ func TestImportDocRejectsTampering(t *testing.T) {
 	}
 }
 
-func TestImportDocRejectsSchemaMismatch(t *testing.T) {
-	src, _ := Open("")
-	publishSmall(t, src, "titanx")
-	doc, err := src.ExportDoc("titanx", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The manifest is not covered by the content hash (the hash covers the
-	// models payload), so a schema edit leaves the document "intact" but
-	// incompatible — exactly the shape a snapshot from a differently built
-	// binary would have.
+// editManifest rewrites a snapshot document's manifest through edit. The
+// content hash covers the models payload, not the manifest, so the edited
+// document stays intact.
+func editManifest(t *testing.T, doc []byte, edit func(man map[string]any)) []byte {
+	t.Helper()
 	var sf map[string]json.RawMessage
 	if err := json.Unmarshal(doc, &sf); err != nil {
 		t.Fatal(err)
@@ -152,15 +146,84 @@ func TestImportDocRejectsSchemaMismatch(t *testing.T) {
 	if err := json.Unmarshal(sf["manifest"], &man); err != nil {
 		t.Fatal(err)
 	}
-	schema := man["schema"].(map[string]any)
-	schema["dim"] = schema["dim"].(float64) + 1
-	manRaw, _ := json.Marshal(man)
+	edit(man)
+	manRaw, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sf["manifest"] = manRaw
-	edited, _ := json.Marshal(sf)
+	edited, err := json.Marshal(sf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return edited
+}
 
+func TestImportDocRejectsSchemaMismatch(t *testing.T) {
+	src, _ := Open("")
+	publishSmall(t, src, "titanx")
+	doc, err := src.ExportDoc("titanx", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A schema edit leaves the document intact but incompatible: exactly
+	// the shape a snapshot from a differently built binary would have.
+	edited := editManifest(t, doc, func(man map[string]any) {
+		schema := man["schema"].(map[string]any)
+		schema["dim"] = schema["dim"].(float64) + 1
+	})
 	dst, _ := Open("")
 	if _, err := dst.ImportDoc(edited); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("schema-mismatched import error = %v, want ErrIncompatible", err)
+	}
+}
+
+// TestWarmStartManifestStillLoads: manifests written while retrains could
+// be warm-started carry training.warm_start. Such a document must still
+// import, verify by content hash and load, with models that predict
+// exactly like the exported ones.
+func TestWarmStartManifestStillLoads(t *testing.T) {
+	src, _ := Open("")
+	man := publishSmall(t, src, "titanx")
+	doc, err := src.ExportDoc("titanx", man.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := editManifest(t, doc, func(m map[string]any) {
+		m["training"].(map[string]any)["warm_start"] = map[string]any{"from_version": "v0001", "matched_rows": 1173}
+	})
+	if !strings.Contains(string(old), `"warm_start"`) {
+		t.Fatal("edited document lost its warm_start field")
+	}
+	dir := t.TempDir()
+	dst, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.ImportDoc(old); err != nil {
+		t.Fatalf("ImportDoc of a warm_start manifest: %v", err)
+	}
+	fresh, err := Open(dir) // a cold store re-reads and re-verifies the file
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotMan, err := fresh.Load("titanx", man.Version)
+	if err != nil {
+		t.Fatalf("Load of a warm_start manifest: %v", err)
+	}
+	if gotMan.Hash != man.Hash {
+		t.Fatalf("hash %s, want %s", gotMan.Hash, man.Hash)
+	}
+	want, _, err := src.Load("titanx", man.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, features.Dim)
+	for i := range x {
+		x[i] = 0.1 * float64(i+1)
+	}
+	if got.Speedup.Predict(x) != want.Speedup.Predict(x) || got.Energy.Predict(x) != want.Energy.Predict(x) {
+		t.Fatal("loaded models predict differently from the exported ones")
 	}
 }
 

@@ -41,31 +41,31 @@ type linearIPM struct {
 	// variables with a residual) and dual (α, α*) variables.
 	xi, xis, s, t, a, as []float64
 
-	// Scratch reused across iterations.
-	f, g, h, u     []float64
-	da, das, dxi   []float64
-	dxis, ds, dt   []float64
-	c1, c2, c3, c4 []float64
-	m              []float64 // (d+1)×(d+1), row-major, lower triangle used
-	rhs, dz        []float64
+	// Per-iterate quantities: f = w·x + b, the slack residuals ρ, ρ*, and
+	// the eliminated pivots d1, d2 of each row.
+	f, rho, rhos, d1, d2 []float64
+	// Search direction and its complementarity right-hand sides.
+	da, das, dxi, dxis, ds, dt []float64
+	c1, c2, c3, c4             []float64
+	beta                       []float64 // relGap's feasible dual
+	m                          []float64 // (d+1)×(d+1), row-major, lower triangle used
+	rw, rhs, dz                []float64
 }
 
-// trainLinear fits the linear ε-SVR by the interior-point method. It
-// returns w, b, the iteration count and whether the relative duality gap
-// reached ipmGapTol. Inputs are validated by Train.
+// trainLinear sets up the interior-point fit of the linear ε-SVR at its
+// starting point; solve runs it. Inputs are validated by Train.
 func trainLinear(xs [][]float64, ys []float64, c, eps float64) *linearIPM {
 	x := newDesignMatrix(xs)
 	n, d := x.n, x.dim
-	p := &linearIPM{x: x, ys: ys, c: c, eps: eps, n: n, d: d, w: make([]float64, d)}
-	vecs := []*[]float64{&p.xi, &p.xis, &p.s, &p.t, &p.a, &p.as,
-		&p.f, &p.g, &p.h, &p.u, &p.da, &p.das, &p.dxi, &p.dxis, &p.ds, &p.dt,
-		&p.c1, &p.c2, &p.c3, &p.c4}
-	for _, v := range vecs {
+	p := &linearIPM{x: x, ys: ys, c: c, eps: eps, n: n, d: d}
+	for _, v := range []*[]float64{&p.xi, &p.xis, &p.s, &p.t, &p.a, &p.as,
+		&p.f, &p.rho, &p.rhos, &p.d1, &p.d2, &p.da, &p.das, &p.dxi, &p.dxis, &p.ds, &p.dt,
+		&p.c1, &p.c2, &p.c3, &p.c4, &p.beta} {
 		*v = make([]float64, n)
 	}
+	p.w, p.rw = make([]float64, d), make([]float64, d)
+	p.rhs, p.dz = make([]float64, d+1), make([]float64, d+1)
 	p.m = make([]float64, (d+1)*(d+1))
-	p.rhs = make([]float64, d+1)
-	p.dz = make([]float64, d+1)
 
 	// Start from w = 0 and b = mean(y), every multiplier at C/2 (so β = 0
 	// satisfies both dual equations exactly), and ξ large enough that each
@@ -86,35 +86,47 @@ func trainLinear(xs [][]float64, ys []float64, c, eps float64) *linearIPM {
 }
 
 // solve runs predictor–corrector iterations until the certified relative
-// duality gap reaches ipmGapTol or ipmMaxIter iterations pass, and returns
-// (iterations, converged).
+// duality gap reaches ipmGapTol, and returns (iterations, converged). A run
+// also ends, unconverged, after ipmMaxIter iterations or once rounding
+// holds the gap up: the residuals of the eliminated system stop shrinking
+// once M is too ill-conditioned, so when complementarity alone is a
+// thousandth of the target further steps cannot close the gap. An
+// unconverged run leaves (w, b) at its best certified iterate.
 func (p *linearIPM) solve() (int, bool) {
 	n, d := p.n, p.d
-	for it := 0; it < ipmMaxIter; it++ {
-		if p.relGap() <= ipmGapTol {
+	bestW, bestB, bestGap := make([]float64, d), p.b, math.Inf(1)
+	it := 0
+	for ; it < ipmMaxIter; it++ {
+		gap, scale := p.relGap() // relGap also fills f for this iterate
+		if gap <= ipmGapTol {
 			return it, true
 		}
+		if gap < bestGap {
+			copy(bestW, p.w)
+			bestB, bestGap = p.b, gap
+		}
 		// Residuals of the equality constraints: the primal slack
-		// definitions (ρ, ρ*) and the dual w = Σβx, Σβ = 0.
-		p.predictions()
-		rw := make([]float64, d)
+		// definitions ρ = f − y + ε + ξ − s and ρ* = y − f + ε + ξ* − t,
+		// and the dual w = Σβx (rw) and Σβ = 0 (rb).
+		rw := p.rw
 		copy(rw, p.w)
 		rb := 0.0
 		mu := 0.0
 		for i := 0; i < n; i++ {
 			beta := p.a[i] - p.as[i]
-			xi := p.x.row(i)
-			for j, v := range xi {
+			for j, v := range p.x.row(i) {
 				rw[j] -= beta * v
 			}
 			rb += beta
+			p.rho[i] = p.f[i] - p.ys[i] + p.eps + p.xi[i] - p.s[i]
+			p.rhos[i] = p.ys[i] - p.f[i] + p.eps + p.xis[i] - p.t[i]
 			mu += p.a[i]*p.s[i] + p.as[i]*p.t[i] + (p.c-p.a[i])*p.xi[i] + (p.c-p.as[i])*p.xis[i]
+		}
+		if !(mu > 1e-3*ipmGapTol*scale) || !p.factor() {
+			break
 		}
 		mu /= float64(4 * n)
 
-		if !p.factor() {
-			return it, false
-		}
 		// Predictor: the affine-scaling direction (σ = 0).
 		for i := 0; i < n; i++ {
 			p.c1[i] = -p.a[i] * p.s[i]
@@ -158,24 +170,19 @@ func (p *linearIPM) solve() (int, bool) {
 			p.t[i] += step * p.dt[i]
 		}
 	}
-	return ipmMaxIter, p.relGap() <= ipmGapTol
-}
-
-// predictions fills f with w·x_i + b.
-func (p *linearIPM) predictions() {
-	for i := range p.f {
-		v := p.b
-		for j, x := range p.x.row(i) {
-			v += p.w[j] * x
-		}
-		p.f[i] = v
+	if gap, _ := p.relGap(); gap <= ipmGapTol {
+		return it, true
+	} else if gap > bestGap || math.IsNaN(gap) {
+		copy(p.w, bestW)
+		p.b = bestB
 	}
+	return it, false
 }
 
 // factor forms M = diag(1,…,1,0) + Σ G_i x̃_i x̃_iᵀ with x̃ = (x, 1) and
-// G_i the row's eliminated curvature, and factors it in place into its
-// lower Cholesky factor. It reports false if M is not numerically
-// positive definite.
+// G_i = α_i/d1_i + α*_i/d2_i the row's eliminated curvature, where
+// d1 = s + αξ/(C − α) and d2 = t + α*ξ*/(C − α*). It factors M in place
+// into its lower Cholesky factor and reports false if M holds a NaN.
 func (p *linearIPM) factor() bool {
 	n, d := p.n, p.d
 	k := d + 1
@@ -184,11 +191,9 @@ func (p *linearIPM) factor() bool {
 		m[i] = 0
 	}
 	for i := 0; i < n; i++ {
-		q, qs := p.c-p.a[i], p.c-p.as[i]
-		d1 := p.s[i] + p.a[i]*p.xi[i]/q
-		d2 := p.t[i] + p.as[i]*p.xis[i]/qs
-		g := p.a[i]/d1 + p.as[i]/d2
-		p.g[i] = g
+		p.d1[i] = p.s[i] + p.a[i]*p.xi[i]/(p.c-p.a[i])
+		p.d2[i] = p.t[i] + p.as[i]*p.xis[i]/(p.c-p.as[i])
+		g := p.a[i]/p.d1[i] + p.as[i]/p.d2[i]
 		xi := p.x.row(i)
 		for r, vr := range xi {
 			gv := g * vr
@@ -209,29 +214,23 @@ func (p *linearIPM) factor() bool {
 	return cholesky(m, k)
 }
 
-// direction solves the eliminated Newton system for the right-hand sides
-// in c1..c4 and the residuals (rw, rb), and fills every Δ.
+// direction solves the Newton system for the complementarity right-hand
+// sides c1..c4 (α s, α* t, (C − α) ξ, (C − α*) ξ*) and the residuals
+// (rw, rb, ρ, ρ*), and fills every Δ. Eliminating the row variables gives
+// Δα = h_α − (α/d1)·u and Δα* = h_α* + (α*/d2)·u, with u = Δw·x + Δb, so
+// (Δw, Δb) solves M·Δz = (Σ h x − rw, Σ h + rb) for h = h_α − h_α*.
 func (p *linearIPM) direction(rw []float64, rb float64) {
 	n, d := p.n, p.d
-	for j := range p.rhs {
-		p.rhs[j] = 0
-	}
 	for j := 0; j < d; j++ {
 		p.rhs[j] = -rw[j]
 	}
 	p.rhs[d] = rb
 	for i := 0; i < n; i++ {
 		q, qs := p.c-p.a[i], p.c-p.as[i]
-		// The slack residuals enter the complementarity rows: with
-		// ρ = f − y + ε + ξ − s, Δs = Δf + Δξ + ρ.
-		rho := p.f[i] - p.ys[i] + p.eps + p.xi[i] - p.s[i]
-		rhos := p.ys[i] - p.f[i] + p.eps + p.xis[i] - p.t[i]
-		d1 := p.s[i] + p.a[i]*p.xi[i]/q
-		d2 := p.t[i] + p.as[i]*p.xis[i]/qs
-		ha := (p.c1[i] - p.a[i]*rho - p.a[i]*p.c3[i]/q) / d1
-		has := (p.c2[i] - p.as[i]*rhos - p.as[i]*p.c4[i]/qs) / d2
-		h := ha - has
-		p.h[i], p.da[i], p.das[i] = h, ha, has
+		// The slack residual enters the complementarity row: Δs = u + Δξ + ρ.
+		p.da[i] = (p.c1[i] - p.a[i]*p.rho[i] - p.a[i]*p.c3[i]/q) / p.d1[i]
+		p.das[i] = (p.c2[i] - p.as[i]*p.rhos[i] - p.as[i]*p.c4[i]/qs) / p.d2[i]
+		h := p.da[i] - p.das[i]
 		for j, v := range p.x.row(i) {
 			p.rhs[j] += h * v
 		}
@@ -243,17 +242,12 @@ func (p *linearIPM) direction(rw []float64, rb float64) {
 		for j, v := range p.x.row(i) {
 			u += p.dz[j] * v
 		}
-		q, qs := p.c-p.a[i], p.c-p.as[i]
-		rho := p.f[i] - p.ys[i] + p.eps + p.xi[i] - p.s[i]
-		rhos := p.ys[i] - p.f[i] + p.eps + p.xis[i] - p.t[i]
-		d1 := p.s[i] + p.a[i]*p.xi[i]/q
-		d2 := p.t[i] + p.as[i]*p.xis[i]/qs
-		p.da[i] -= p.a[i] / d1 * u
-		p.das[i] += p.as[i] / d2 * u
-		p.dxi[i] = (p.c3[i] + p.xi[i]*p.da[i]) / q
-		p.dxis[i] = (p.c4[i] + p.xis[i]*p.das[i]) / qs
-		p.ds[i] = u + p.dxi[i] + rho
-		p.dt[i] = -u + p.dxis[i] + rhos
+		p.da[i] -= p.a[i] / p.d1[i] * u
+		p.das[i] += p.as[i] / p.d2[i] * u
+		p.dxi[i] = (p.c3[i] + p.xi[i]*p.da[i]) / (p.c - p.a[i])
+		p.dxis[i] = (p.c4[i] + p.xis[i]*p.das[i]) / (p.c - p.as[i])
+		p.ds[i] = u + p.dxi[i] + p.rho[i]
+		p.dt[i] = -u + p.dxis[i] + p.rhos[i]
 	}
 }
 
@@ -281,14 +275,22 @@ func (p *linearIPM) maxStep() float64 {
 	return math.Min(step, 1)
 }
 
-// relGap certifies the current iterate: it evaluates the primal objective
+// relGap certifies the current iterate and leaves f = w·x + b for it. It
+// returns the relative gap and its scale max(1, |P|), and evaluates the
+// primal objective
 // at (w, b) with the optimal slacks ξ = max(0, |y − f| − ε), and the dual
 // objective Σ yβ − ε‖β‖₁ − ½‖Σ βx‖² at the multipliers made exactly
 // feasible (Σ β = 0, |β| ≤ C). Weak duality makes every such pair a bound
 // on the optimum, so (P − D) / max(1, |P|) bounds the relative error of P.
-func (p *linearIPM) relGap() float64 {
+func (p *linearIPM) relGap() (gap, scale float64) {
 	n, d := p.n, p.d
-	p.predictions()
+	for i := range p.f {
+		v := p.b
+		for j, x := range p.x.row(i) {
+			v += p.w[j] * x
+		}
+		p.f[i] = v
+	}
 	primal := 0.0
 	for _, v := range p.w {
 		primal += v * v / 2
@@ -299,7 +301,7 @@ func (p *linearIPM) relGap() float64 {
 
 	// Spread the rounding residue of Σβ over each row's room towards the
 	// bound it moves to, so β stays in [−C, C].
-	beta := p.h // scratch: relGap runs before direction refills h
+	beta := p.beta
 	sum, room := 0.0, 0.0
 	for i := range beta {
 		beta[i] = p.a[i] - p.as[i]
@@ -329,20 +331,30 @@ func (p *linearIPM) relGap() float64 {
 	for _, x := range v {
 		dual -= x * x / 2
 	}
-	return (primal - dual) / math.Max(1, math.Abs(primal))
+	scale = math.Max(1, math.Abs(primal))
+	return (primal - dual) / scale, scale
 }
 
 // cholesky factors the symmetric positive definite k×k matrix m (row-major,
-// lower triangle read) into its lower Cholesky factor in place. It reports
-// false on a non-positive pivot.
+// lower triangle read) into its lower Cholesky factor in place. Near the
+// optimum M is dominated by the rows on the tube edge, and with fewer such
+// rows than weights it is numerically singular: a pivot that cancels to
+// 1e-14 of its diagonal is replaced by 1e128, which drops that direction
+// from the step (Wright, SIAM J. Optim. 9(4), 1999). The residuals carried
+// into the next iteration correct the inexact step. It reports false only
+// on a NaN.
 func cholesky(m []float64, k int) bool {
 	for j := 0; j < k; j++ {
-		s := m[j*k+j]
+		diag := m[j*k+j]
+		s := diag
 		for t := 0; t < j; t++ {
 			s -= m[j*k+t] * m[j*k+t]
 		}
-		if !(s > 0) {
+		if math.IsNaN(s) {
 			return false
+		}
+		if !(s > 1e-14*diag) {
+			s = 1e128
 		}
 		s = math.Sqrt(s)
 		m[j*k+j] = s

@@ -136,3 +136,71 @@ func TestIPMAgreesWithConvergedSMO(t *testing.T) {
 	t.Logf("objective: SMO %.6f (gap %.3g), interior point %.6f; ‖Δw‖ = %.3g; iterations: SMO %d, interior point %d",
 		pS, gapS, pI, norm(dw), smo.Iters, ipm.Iters)
 }
+
+// TestLinearFitRandomProblems sweeps random problems across six decades of
+// C and of feature scale, with zero and wide tubes, collinear features and
+// fewer rows than weights. Every fit must stay finite and end within 30
+// iterations, and at most 1% may end unconverged: there rounding holds the
+// gap a little above 1e-9 and the fit keeps its best iterate.
+func TestLinearFitRandomProblems(t *testing.T) {
+	r := &det{s: 1}
+	const trials = 2000
+	unconverged := 0
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + int(r.next()*60)
+		d := 1 + int(r.next()*13)
+		p := Params{C: math.Pow(10, -2+6*r.next()), Epsilon: 0.5 * r.next()}
+		if trial%7 == 0 {
+			p.Epsilon = 0
+		}
+		scale := math.Pow(10, -3+6*r.next())
+		xs := make([][]float64, n)
+		ys := make([]float64, n)
+		for i := range xs {
+			xs[i] = make([]float64, d)
+			for j := range xs[i] {
+				xs[i][j] = r.next() * scale
+				if trial%5 == 0 && j > 0 {
+					xs[i][j] = xs[i][0]
+				}
+			}
+			ys[i] = scale * 3 * (r.next() - 0.5)
+		}
+		m, err := Train(xs, ys, Linear{}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Iters > 30 {
+			t.Errorf("trial %d (n=%d d=%d C=%g ε=%g): %d iterations", trial, n, d, p.C, p.Epsilon, m.Iters)
+		}
+		for _, x := range xs {
+			if v := m.Predict(x); math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("trial %d: non-finite prediction %v", trial, v)
+			}
+		}
+		if !m.Converged {
+			unconverged++
+		}
+	}
+	if unconverged > trials/100 {
+		t.Fatalf("%d of %d fits did not certify the gap", unconverged, trials)
+	}
+}
+
+// TestLinearFitUnconvergedKeepsBestIterate: a run that cannot certify its
+// gap (a NaN feature poisons every certificate) ends early with Converged
+// false and the finite starting iterate, w = 0 and b = mean(y).
+func TestLinearFitUnconvergedKeepsBestIterate(t *testing.T) {
+	xs := [][]float64{{0, 1}, {1, math.NaN()}, {2, 3}}
+	ys := []float64{1, 2, 6}
+	m, err := Train(xs, ys, Linear{}, paperParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Converged || m.Iters >= ipmMaxIter {
+		t.Fatalf("Converged = %v after %d iterations, want an early unconverged stop", m.Converged, m.Iters)
+	}
+	if got := m.Predict([]float64{5, 7}); got != 3 {
+		t.Fatalf("Predict = %v, want the starting iterate's mean(y) = 3", got)
+	}
+}
