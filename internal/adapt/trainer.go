@@ -18,8 +18,8 @@ type Trainer interface {
 	// Fit trains candidate models on the base corpus extended with extra
 	// samples and reports the training metadata for the snapshot manifest.
 	// prior is ignored: the controller passes nil, and the parameter stays
-	// only while the offline benchmark trace still passes the serving
-	// models (ROADMAP.md lists its removal with the trace's retirement).
+	// only while the offline benchmark trace (benchmark/trace) still
+	// passes the serving models; it goes when that trace is retired.
 	Fit(ctx context.Context, extra []core.Sample, prior *core.Models) (*core.Models, registry.Training, error)
 }
 

@@ -20,9 +20,9 @@ type Params struct {
 	// certified relative duality gap of 1e-9.
 	Tol float64
 	// MaxIter caps SMO iterations; <=0 means 200×n with a floor of 100k.
-	// The linear interior-point fit does not read it: it takes a few dozen
-	// iterations and stops at a fixed internal limit of 100 without
-	// certifying the gap, reporting Converged false.
+	// The linear interior-point fit does not read it: it certifies its gap
+	// in well under 100 iterations, and a run that reaches that fixed
+	// internal limit uncertified reports Converged false.
 	MaxIter int
 	// CacheRows bounds the kernel row cache in entries (default 768).
 	// Each cached row holds one float64 per training sample, so the byte
