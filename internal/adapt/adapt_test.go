@@ -544,6 +544,53 @@ func TestAutoRetrainFitsCold(t *testing.T) {
 	}
 }
 
+// countingTrainer is a priorTrainer that records the prior of every Fit call.
+type countingTrainer struct {
+	priorTrainer
+
+	mu     sync.Mutex
+	priors []*core.Models
+}
+
+func (c *countingTrainer) Fit(ctx context.Context, extra []core.Sample, prior *core.Models) (*core.Models, registry.Training, error) {
+	c.mu.Lock()
+	c.priors = append(c.priors, prior)
+	c.mu.Unlock()
+	return c.priorTrainer.Fit(ctx, extra, prior)
+}
+
+// A trainer that fails every fit seeded from a prior cannot break an
+// automatic retrain: the controller makes exactly one fit, cold, with no
+// warm attempt and no fallback retry, and activates its result.
+func TestWarmFitFailureFallsBackCold(t *testing.T) {
+	r := newRig(t, constModels(t, 1, 1), registry.Training{})
+	tr := &countingTrainer{priorTrainer: priorTrainer{fakeTrainer{models: constModels(t, 1, 1)}}}
+	c := New(Config{Auto: true, Sync: true, RetrainEvery: 5, Cooldown: time.Hour}, r.deps(tr))
+	for i := 0; i < 5; i++ {
+		if _, err := c.Observe(obs(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tr.mu.Lock()
+	priors := append([]*core.Models(nil), tr.priors...)
+	tr.mu.Unlock()
+	if len(priors) != 1 || priors[0] != nil {
+		t.Fatalf("trainer priors = %v, want exactly one cold fit", priors)
+	}
+	st := c.Status().Retrain
+	if st.LastOutcome != OutcomeActivated {
+		t.Fatalf("retrain outcome = %s (%s), want activated", st.LastOutcome, st.LastError)
+	}
+	man, err := r.store.GetManifest("titanx", st.LastVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Training.Observations == 0 {
+		t.Errorf("published manifest records no observations: %+v", man.Training)
+	}
+}
+
 func TestManualRetrainAlwaysCold(t *testing.T) {
 	r := newRig(t, constModels(t, 1, 1), registry.Training{})
 	c := New(Config{}, r.deps(priorTrainer{fakeTrainer{models: constModels(t, 1, 1)}}))
