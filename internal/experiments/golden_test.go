@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/measure"
 	"repro/internal/nvml"
+	"repro/internal/registry"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
@@ -25,6 +27,8 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // precision the reports print, into testdata/golden/<name>.txt:
 //
 //   - each model's Converged flag;
+//   - the models' content hash (registry.HashModels) and the hash of the
+//     publish-time fronts table, as a SaveWithFronts manifest records it;
 //   - the 12 test benchmarks × 5 built-in policies decision matrix;
 //   - the Pareto configuration list of every training and test kernel;
 //   - Fig. 6/7 RMSE per memory clock and Table 2 D per benchmark.
@@ -35,6 +39,9 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 //	go test ./internal/experiments -run TestGolden -update
 //
 // and the diff is the change's discrete behaviour change.
+//
+// The two hash lines pin float bits, and Go fuses multiply-adds on arm64,
+// so they are compared, and may be rewritten, on amd64 only.
 func TestGolden(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -49,6 +56,9 @@ func TestGolden(t *testing.T) {
 			got := goldenReport(t, c.dev, c.settings)
 			path := filepath.Join("testdata", "golden", c.name+".txt")
 			if *update {
+				if runtime.GOARCH != "amd64" {
+					t.Fatal("the hash lines are pinned on amd64; rewrite the golden files there")
+				}
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -60,6 +70,9 @@ func TestGolden(t *testing.T) {
 			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if runtime.GOARCH != "amd64" {
+				got, want = dropHashLines(got), dropHashLines(want)
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s differs from the trained models' behaviour:\n%s", path, lineDiff(string(want), string(got)))
@@ -84,6 +97,22 @@ func goldenReport(t *testing.T, dev *gpu.Device, settings int) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "device %s, %d settings per kernel\n", dev.Name, settings)
 	fmt.Fprintf(&b, "converged speedup=%v energy=%v\n", models.Speedup.Converged, models.Energy.Converged)
+
+	mhash, err := registry.HashModels(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := registry.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.SaveWithFronts("golden", "", models, registry.Training{},
+		registry.ComputeFronts(pred, TrainingKernels()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "%smodels %s\n", hashPrefix, mhash)
+	fmt.Fprintf(&b, "%sfronts %s\n", hashPrefix, man.Fronts.Hash)
 
 	tbl, err := policyEvalOn(eng)
 	if err != nil {
@@ -132,6 +161,20 @@ func goldenReport(t *testing.T, dev *gpu.Device, settings int) []byte {
 		fmt.Fprintf(&b, "%s %.4f\n", r.Benchmark, r.D)
 	}
 	return []byte(b.String())
+}
+
+// hashPrefix starts the golden lines that pin float bits.
+const hashPrefix = "hash "
+
+// dropHashLines removes the hash lines from a rendering.
+func dropHashLines(b []byte) []byte {
+	var out []byte
+	for _, l := range bytes.SplitAfter(b, []byte("\n")) {
+		if !bytes.HasPrefix(l, []byte(hashPrefix)) {
+			out = append(out, l...)
+		}
+	}
+	return out
 }
 
 // lineDiff lists the lines that differ between two renderings, position by
