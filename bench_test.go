@@ -1,8 +1,8 @@
 // Root benchmark harness: one benchmark per paper artifact (Fig. 1, 4, 5,
 // 6, 7, 8 and Table 2), each printing the regenerated rows/series once and
 // timing the regeneration, plus ablation benchmarks for the design choices
-// called out in DESIGN.md (SVR kernel per objective, SVR vs simpler
-// regressors, Pareto algorithm, training sampling density).
+// called out in DESIGN.md (SVR kernel per objective, Pareto algorithm,
+// training sampling density).
 //
 // Run with:
 //
@@ -28,11 +28,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/features"
 	"repro/internal/freq"
-	"repro/internal/gpu"
 	"repro/internal/measure"
-	"repro/internal/nvml"
 	"repro/internal/pareto"
-	"repro/internal/regress"
 	"repro/internal/svm"
 )
 
@@ -45,7 +42,7 @@ var (
 func paperSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suite = experiments.NewSuite()
+		suite = experiments.NewSuite(engine.NewDefault(engine.Options{}))
 	})
 	return suite
 }
@@ -165,7 +162,7 @@ func ablationData(b *testing.B) ([]core.Sample, []evalPoint) {
 	ablOnce.Do(func() {
 		s := paperSuite(b)
 		h := s.Harness()
-		ablSamples, ablErr = core.BuildTrainingSet(h, experiments.TrainingKernels(), core.Options{})
+		ablSamples, ablErr = engine.New(h, engine.Options{}).BuildTrainingSet(context.Background(), engine.TrainingKernels())
 		if ablErr != nil {
 			return
 		}
@@ -262,61 +259,8 @@ func BenchmarkAblationEnergyGamma(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRegressor compares SVR against the simpler regressors
-// the paper says it evaluated (OLS, LASSO, polynomial) on the speedup
-// objective.
-func BenchmarkAblationRegressor(b *testing.B) {
-	samples, eval := ablationData(b)
-	xs := make([][]float64, len(samples))
-	ys := make([]float64, len(samples))
-	for i, s := range samples {
-		xs[i] = s.Vector.Slice()
-		ys[i] = s.Speedup
-	}
-	run := func(name string, fit func() (func([]float64) float64, error)) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				predict, err := fit()
-				if err != nil {
-					b.Fatal(err)
-				}
-				r := rmseAt(eval, freq.MemH, predict, func(p evalPoint) float64 { return p.s })
-				b.ReportMetric(r, "rmseH%")
-			}
-		})
-	}
-	run("ols", func() (func([]float64) float64, error) {
-		m, err := regress.OLS(xs, ys)
-		if err != nil {
-			return nil, err
-		}
-		return m.Predict, nil
-	})
-	run("lasso", func() (func([]float64) float64, error) {
-		m, err := regress.Lasso(xs, ys, 0.001, 500)
-		if err != nil {
-			return nil, err
-		}
-		return m.Predict, nil
-	})
-	run("poly2", func() (func([]float64) float64, error) {
-		m, err := regress.Polynomial(xs, ys, 2)
-		if err != nil {
-			return nil, err
-		}
-		return m.Predict, nil
-	})
-	run("svr-linear", func() (func([]float64) float64, error) {
-		m, err := svm.Train(xs, ys, svm.Linear{}, svm.Params{C: 1000, Epsilon: 0.1})
-		if err != nil {
-			return nil, err
-		}
-		return m.Predict, nil
-	})
-}
-
 // BenchmarkAblationPareto compares the paper's Algorithm 1 (O(n²)) against
-// the sort-based O(n log n) front on realistic prediction-sized inputs.
+// the in-place O(n log n) front rule on realistic prediction-sized inputs.
 func BenchmarkAblationPareto(b *testing.B) {
 	for _, n := range []int{171, 1000, 10000} {
 		pts := make([]pareto.Point, n)
@@ -331,9 +275,11 @@ func BenchmarkAblationPareto(b *testing.B) {
 				pareto.Simple(pts)
 			}
 		})
-		b.Run(fmt.Sprintf("fast/n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("inplace/n=%d", n), func(b *testing.B) {
+			buf := make([]pareto.Point, n)
 			for i := 0; i < b.N; i++ {
-				pareto.Fast(pts)
+				copy(buf, pts)
+				pareto.FrontInPlace(buf)
 			}
 		})
 	}
@@ -347,8 +293,8 @@ func BenchmarkAblationSamplingDensity(b *testing.B) {
 	for _, n := range []int{10, 20, 40} {
 		b.Run(fmt.Sprintf("settings=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				samples, err := core.BuildTrainingSet(s.Harness(), experiments.TrainingKernels(),
-					core.Options{SettingsPerKernel: n})
+				eng := engine.New(s.Harness(), engine.Options{Core: core.Options{SettingsPerKernel: n}})
+				samples, err := eng.BuildTrainingSet(context.Background(), engine.TrainingKernels())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -395,29 +341,13 @@ func engineBenchOptions(workers int) engine.Options {
 }
 
 // BenchmarkEngineTrain measures end-to-end training (measurement sweep +
-// both SVR fits) through the sequential seed path and through the engine's
-// worker pool, so the concurrency speedup is tracked in the perf
-// trajectory.
+// both SVR fits) through the engine's worker pool at one worker and at
+// more, so the concurrency speedup is tracked in the perf trajectory.
 func BenchmarkEngineTrain(b *testing.B) {
 	kernels := engine.TrainingKernels()
-
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			h := measure.NewHarness(nvml.NewDevice(gpu.TitanX()))
-			opts := core.Options{SettingsPerKernel: 10}
-			samples, err := core.BuildTrainingSet(h, kernels, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.Train(samples, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	workerCounts := []int{2, runtime.GOMAXPROCS(0)}
-	if workerCounts[1] == workerCounts[0] {
-		workerCounts = workerCounts[:1]
+	workerCounts := []int{1, 2}
+	if n := runtime.GOMAXPROCS(0); n > 2 {
+		workerCounts = append(workerCounts, n)
 	}
 	for _, workers := range workerCounts {
 		b.Run(fmt.Sprintf("engine-%dworkers", workers), func(b *testing.B) {

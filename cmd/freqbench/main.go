@@ -40,7 +40,7 @@ func main() {
 		Workers: *workers,
 		Core:    core.Options{SettingsPerKernel: *settings},
 	})
-	s := experiments.NewSuiteWithEngine(eng)
+	s := experiments.NewSuite(eng)
 	if *modelDir != "" {
 		store, err := registry.Open(*modelDir)
 		if err != nil {
@@ -124,7 +124,7 @@ func run(s *experiments.Suite, exp string) error {
 		// A fresh suite on the same engine options (workers included): the
 		// drift-recovery run hot-swaps models and must not disturb the
 		// engine other experiments in the same invocation share.
-		rep, err := experiments.NewSuiteWithEngine(engine.NewDefault(s.Engine().Options())).AdaptRecovery()
+		rep, err := experiments.NewSuite(engine.NewDefault(s.Engine().Options())).AdaptRecovery()
 		if err != nil {
 			return err
 		}

@@ -164,8 +164,8 @@ func TestCmdSaveLoadModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := store.Active("titanx"); !ok || v != "v0001" {
-		t.Fatalf("save did not activate: %q, %v", v, ok)
+	if st, ok := store.ActiveState("titanx"); !ok || st.Version != "v0001" {
+		t.Fatalf("save did not activate: %q, %v", st.Version, ok)
 	}
 
 	if err := cmdModels([]string{"-model-dir", modelDir}); err != nil {
@@ -197,8 +197,8 @@ func TestCmdSaveLoadModels(t *testing.T) {
 	if err := cmdSave([]string{"-model-dir", modelDir, "-settings", "4", "-workers", "4"}); err != nil {
 		t.Fatalf("second save: %v", err)
 	}
-	if v, _ := store.Active("titanx"); v != "v0002" {
-		t.Fatalf("second save active = %q, want v0002", v)
+	if st, _ := store.ActiveState("titanx"); st.Version != "v0002" {
+		t.Fatalf("second save active = %q, want v0002", st.Version)
 	}
 	if prev, ok := store.Previous("titanx"); !ok || prev != "v0001" {
 		t.Fatalf("previous = %q, %v; want v0001", prev, ok)

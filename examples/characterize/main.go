@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/engine"
@@ -61,7 +62,8 @@ func main() {
 	for i, r := range rels {
 		pts[i] = pareto.Point{Speedup: r.Speedup, Energy: r.NormEnergy, ID: i}
 	}
-	front := pareto.Fast(pts)
+	front := slices.Clone(pts)
+	front = front[:pareto.FrontInPlace(front)]
 	fmt.Printf("\nmeasured Pareto front (%d of %d configurations):\n", len(front), len(rels))
 	fmt.Printf("%-12s %10s %12s\n", "mem@core", "speedup", "norm.energy")
 	for _, p := range front {

@@ -311,9 +311,6 @@ func New(cfg Config, deps Deps) *Controller {
 	return c
 }
 
-// Config returns the resolved loop configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Observe validates and ingests one observation, re-evaluates drift, and —
 // when automatic retraining is enabled — starts a guarded retrain if a
 // trigger fires. Invalid observations are rejected with an error and never
@@ -618,7 +615,3 @@ func (c *Controller) Status() Status {
 // recomputing the drift verdict — the cheap subset of Status for ingest
 // responses.
 func (c *Controller) StoreStats() StoreStats { return c.obs.stats() }
-
-// Observations returns a copy of the stored observations, oldest first
-// (used by the experiments and for debugging).
-func (c *Controller) Observations() []Observation { return c.obs.snapshot() }

@@ -299,8 +299,8 @@ func TestHoldoutRejectionNeverActivates(t *testing.T) {
 	if _, err := r.store.GetManifest("titanx", st.LastVersion); err != nil {
 		t.Fatalf("rejected candidate %s not in the registry: %v", st.LastVersion, err)
 	}
-	if active, _ := r.store.Active("titanx"); active != "v0001" {
-		t.Fatalf("registry active pointer moved to %s", active)
+	if st, _ := r.store.ActiveState("titanx"); st.Version != "v0001" {
+		t.Fatalf("registry active pointer moved to %s", st.Version)
 	}
 }
 
@@ -470,7 +470,7 @@ func TestStoreBoundEvictsOldest(t *testing.T) {
 	if st.Count != 4 || st.Total != 10 || st.Dropped != 6 {
 		t.Fatalf("store stats: %+v", st)
 	}
-	kept := c.Observations()
+	kept := c.obs.tail(math.MaxInt)
 	if len(kept) != 4 || kept[0].Kernel != "k6" || kept[3].Kernel != "k9" {
 		t.Fatalf("kept observations: %+v", kept)
 	}

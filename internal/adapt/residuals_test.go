@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -96,7 +97,7 @@ func (s *obsStream) next() Observation {
 // wantDrift is the reference verdict: the drift rule applied to
 // Residuals(pred, window) over the controller's current window.
 func wantDrift(c *Controller, pred *engine.Predictor) DriftStatus {
-	window := c.Observations()
+	window := c.obs.tail(math.MaxInt)
 	if n := len(window); n > c.cfg.Window {
 		window = window[n-c.cfg.Window:]
 	}

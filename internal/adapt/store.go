@@ -177,17 +177,6 @@ func (s *store) restore(obs []Observation, total int) {
 	}
 }
 
-// snapshot copies the held observations out, oldest first.
-func (s *store) snapshot() []Observation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Observation, s.count)
-	for i := 0; i < s.count; i++ {
-		out[i] = s.buf[(s.start+i)%len(s.buf)]
-	}
-	return out
-}
-
 // tail copies out the newest n observations, oldest of them first.
 func (s *store) tail(n int) []Observation {
 	s.mu.Lock()

@@ -3,6 +3,7 @@ package adapt
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -296,7 +297,7 @@ func TestWALSeedsController(t *testing.T) {
 		}
 	}
 	before := c.Status()
-	beforeObs := obsJSON(t, c.Observations())
+	beforeObs := obsJSON(t, c.obs.tail(math.MaxInt))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestWALSeedsController(t *testing.T) {
 	c2 := New(Config{Capacity: 8}, deps)
 	after := c2.Status()
 
-	if obsJSON(t, c2.Observations()) != beforeObs {
+	if obsJSON(t, c2.obs.tail(math.MaxInt)) != beforeObs {
 		t.Fatal("replayed observations differ from the pre-restart window")
 	}
 	bs, as := before.Store, after.Store

@@ -51,6 +51,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/pareto"
 	"repro/internal/policy"
 )
 
@@ -172,51 +173,27 @@ func usable(p core.Prediction) bool {
 
 // canonFront filters an item's front to its usable, Pareto-optimal points
 // in ascending speedup (and therefore ascending energy and unit cost)
-// order, deduplicating exact objective ties through the policy package's
-// deterministic tie order.
+// order: the shared front rule (pareto.FrontInPlace) over the usable
+// points, with each exact objective tie, which that rule keeps whole,
+// reduced to its first member in the stable config order (memory clock,
+// then core clock). A plan allocates one point per objective pair.
 func canonFront(front []core.Prediction) []core.Prediction {
-	pts := make([]core.Prediction, 0, len(front))
-	for _, p := range front {
+	pts := make([]pareto.Point, 0, len(front))
+	for i, p := range front {
 		if usable(p) {
-			pts = append(pts, p)
+			pts = append(pts, pareto.Point{Speedup: p.Speedup, Energy: p.NormEnergy, ID: i})
 		}
 	}
-	// Sort ascending by speedup, then ascending energy, then the stable
-	// config order, so domination is a single linear scan.
-	sort.Slice(pts, func(i, j int) bool {
-		a, b := pts[i], pts[j]
-		if a.Speedup != b.Speedup {
-			return a.Speedup < b.Speedup
-		}
-		if a.NormEnergy != b.NormEnergy {
-			return a.NormEnergy < b.NormEnergy
-		}
-		if a.Config.Mem != b.Config.Mem {
-			return a.Config.Mem < b.Config.Mem
-		}
-		return a.Config.Core < b.Config.Core
-	})
-	// Keep the non-dominated staircase: scanning from the highest speedup
-	// down, a point survives only if its energy is strictly below every
-	// survivor with higher speedup, and only the first point of an
-	// equal-speedup run (lowest energy, then the stable config order)
-	// survives — the rest are dominated or exact duplicates.
+	pts = pts[:pareto.FrontInPlace(pts)]
 	out := make([]core.Prediction, 0, len(pts))
-	minEnergy := math.Inf(1)
-	for i := len(pts) - 1; i >= 0; i-- {
-		p := pts[i]
-		if p.NormEnergy >= minEnergy {
-			continue
+	for _, pt := range pts {
+		p := front[pt.ID]
+		last := len(out) - 1
+		if last < 0 || out[last].Speedup != p.Speedup || out[last].NormEnergy != p.NormEnergy {
+			out = append(out, p)
+		} else if c, o := p.Config, out[last].Config; c.Mem < o.Mem || c.Mem == o.Mem && c.Core < o.Core {
+			out[last] = p
 		}
-		if i > 0 && pts[i-1].Speedup == p.Speedup {
-			continue // an equal-speedup predecessor has ≤ energy: dominated
-		}
-		minEnergy = p.NormEnergy
-		out = append(out, p)
-	}
-	// Reverse into ascending order.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
 	}
 	return out
 }

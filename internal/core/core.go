@@ -13,8 +13,12 @@
 // frequency configuration of the three highest memory clocks, the paper's
 // Algorithm 1 derives the Pareto set, and the mem-L heuristic appends the
 // highest-core configuration of the lowest memory clock (Section 4.5). This
-// package holds those rules as pure functions (ExcludeMemL, ParetoFront,
-// MemLHeuristicConfig); internal/engine's Predictor applies them.
+// package holds the per-kernel sampling unit (SampleKernel), the solver
+// layout of a training set (TrainingMatrix) and the prediction rules as
+// pure functions (ExcludeMemL, MemLHeuristicConfig). internal/engine runs
+// both phases on them: it shards SampleKernel across a worker pool, fits
+// the two SVRs, and derives each Pareto set with internal/pareto's one
+// front rule.
 package core
 
 import (
@@ -30,7 +34,6 @@ import (
 	"repro/internal/freq"
 	"repro/internal/gpu"
 	"repro/internal/measure"
-	"repro/internal/pareto"
 	"repro/internal/svm"
 )
 
@@ -88,9 +91,9 @@ type TrainingKernel struct {
 
 // SampleKernel executes one training kernel at the given frequency settings
 // and returns its supervised samples (the per-kernel unit of training-phase
-// steps 1–4 of Fig. 2). It is the shared primitive under BuildTrainingSet
-// and the engine's worker pool: each call measures a baseline first, then
-// every setting, on whatever harness it is handed.
+// steps 1–4 of Fig. 2), which the engine's worker pool shards: each call
+// measures a baseline first, then every setting, on whatever harness it is
+// handed.
 func SampleKernel(h *measure.Harness, k TrainingKernel, settings []freq.Config) ([]Sample, error) {
 	base, err := h.Baseline(k.Profile)
 	if err != nil {
@@ -118,24 +121,6 @@ func SampleKernel(h *measure.Harness, k TrainingKernel, settings []freq.Config) 
 func TrainingSettings(h *measure.Harness, opt Options) []freq.Config {
 	opt = opt.WithDefaults()
 	return h.Device().Sim().Ladder.TrainingSample(opt.SettingsPerKernel)
-}
-
-// BuildTrainingSet executes every training kernel at the sampled frequency
-// settings and assembles the supervised training set (training-phase steps
-// 1–4 of Fig. 2). This is the sequential reference path; the concurrent
-// engine (internal/engine) shards the same SampleKernel unit across a
-// worker pool.
-func BuildTrainingSet(h *measure.Harness, kernels []TrainingKernel, opt Options) ([]Sample, error) {
-	settings := TrainingSettings(h, opt)
-	var out []Sample
-	for _, k := range kernels {
-		ks, err := SampleKernel(h, k, settings)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ks...)
-	}
-	return out, nil
 }
 
 // DesignRows lays the samples' input vectors out as rows backed by one
@@ -201,26 +186,6 @@ func (m *TrainingMatrix) Len() int { return len(m.Rows) }
 type Models struct {
 	Speedup *svm.Model
 	Energy  *svm.Model
-}
-
-// Train fits the speedup and normalized-energy SVR models on the training
-// set (training-phase steps 5–6 of Fig. 2). It is the sequential reference
-// path; the engine's FitMatrix runs the same two fits concurrently.
-func Train(samples []Sample, opt Options) (*Models, error) {
-	opt = opt.WithDefaults()
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: empty training set")
-	}
-	m := NewTrainingMatrix(samples)
-	sm, err := svm.Train(m.Rows, m.Speedup, opt.SpeedupKernel, opt.Params)
-	if err != nil {
-		return nil, fmt.Errorf("core: training speedup model: %w", err)
-	}
-	em, err := svm.Train(m.Rows, m.Energy, opt.EnergyKernel, opt.Params)
-	if err != nil {
-		return nil, fmt.Errorf("core: training energy model: %w", err)
-	}
-	return &Models{Speedup: sm, Energy: em}, nil
 }
 
 // ResidualRMSE evaluates trained models back on a supervised sample set
@@ -297,24 +262,6 @@ func ExcludeMemL(ladder *freq.Ladder, cfgs []freq.Config) []freq.Config {
 			continue
 		}
 		out = append(out, cfg)
-	}
-	return out
-}
-
-// ParetoFront filters predictions down to the Pareto-optimal subset. The
-// front is computed with the O(n log n) sort-based algorithm, which returns
-// the same set as the paper's Algorithm 1 (pareto.Simple, kept as the
-// paper-fidelity reference and checked equivalent in the pareto and core
-// tests) ordered by ascending speedup.
-func ParetoFront(preds []Prediction) []Prediction {
-	pts := make([]pareto.Point, len(preds))
-	for i, pr := range preds {
-		pts[i] = pareto.Point{Speedup: pr.Speedup, Energy: pr.NormEnergy, ID: i}
-	}
-	front := pareto.Fast(pts)
-	out := make([]Prediction, 0, len(front)+1)
-	for _, f := range front {
-		out = append(out, preds[f.ID])
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -44,11 +45,8 @@ func trainSmall(t *testing.T) (*core.Models, *measure.Harness) {
 			subset = append(subset, all[i])
 		}
 	}
-	samples, err := core.BuildTrainingSet(h, adapt(subset), core.Options{SettingsPerKernel: 16})
-	if err != nil {
-		t.Fatalf("BuildTrainingSet: %v", err)
-	}
-	models, err := core.Train(samples, core.Options{})
+	eng := engine.New(h, engine.Options{Core: core.Options{SettingsPerKernel: 16}})
+	models, err := eng.Train(context.Background(), adapt(subset))
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -69,7 +67,8 @@ func sharedModels(t *testing.T) (*core.Models, *measure.Harness) {
 func TestBuildTrainingSetShape(t *testing.T) {
 	h := measure.NewHarness(nvml.NewDevice(gpu.TitanX()))
 	bs := synth.Generate()[:3]
-	samples, err := core.BuildTrainingSet(h, adapt(bs), core.Options{SettingsPerKernel: 10})
+	eng := engine.New(h, engine.Options{Core: core.Options{SettingsPerKernel: 10}})
+	samples, err := eng.BuildTrainingSet(context.Background(), adapt(bs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +224,14 @@ func TestParetoSetProperties(t *testing.T) {
 	}
 }
 
-// TestParetoFrontMatchesSimple keeps core.ParetoFront (which runs the
-// O(n log n) pareto.Fast) interchangeable with the paper's Algorithm 1
-// (pareto.Simple) over random prediction clouds, including exact duplicates
-// and tied objectives.
+// TestParetoFrontMatchesSimple keeps the predictor's front derivation from
+// a grid (Predictor.FrontOf, which runs pareto.FrontInPlace)
+// interchangeable with the paper's Algorithm 1 (pareto.Simple) over random
+// prediction clouds, including exact duplicates and tied objectives. The
+// P100 ladder has no mem-L point, so FrontOf returns the front alone.
 func TestParetoFrontMatchesSimple(t *testing.T) {
+	models, _ := sharedModels(t)
+	pred := engine.NewPredictor(models, freq.P100(), engine.Options{})
 	seed := uint64(12345)
 	next := func() float64 {
 		seed = seed*6364136223846793005 + 1442695040888963407
@@ -252,7 +254,7 @@ func TestParetoFrontMatchesSimple(t *testing.T) {
 				NormEnergy: 0.6 + e,
 			}
 		}
-		got := core.ParetoFront(preds)
+		got := pred.FrontOf(features.Static{}, preds)
 
 		pts := make([]pareto.Point, n)
 		for i, pr := range preds {
@@ -261,7 +263,7 @@ func TestParetoFrontMatchesSimple(t *testing.T) {
 		want := pareto.Simple(pts)
 
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: front size %d (Fast) vs %d (Simple)", trial, len(got), len(want))
+			t.Fatalf("trial %d: front size %d (FrontOf) vs %d (Simple)", trial, len(got), len(want))
 		}
 		// Both fronts are sorted by (speedup, energy); compare as multisets
 		// of objective pairs so duplicate-point ID order doesn't matter.
@@ -326,8 +328,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, err := core.Train(nil, core.Options{}); err == nil {
-		t.Error("Train(nil) should fail")
+	if _, err := engine.NewDefault(engine.Options{}).Fit(context.Background(), nil); err == nil {
+		t.Error("Fit(nil) should fail")
 	}
 }
 
@@ -373,7 +375,8 @@ func TestResidualRMSE(t *testing.T) {
 	// On its own training distribution the residuals are positive (the
 	// ε-tube admits errors) but bounded well below the prediction range.
 	bs := synth.Generate()[:4]
-	samples, err := core.BuildTrainingSet(h.Clone(), adapt(bs), core.Options{SettingsPerKernel: 10})
+	eng := engine.New(h.Clone(), engine.Options{Core: core.Options{SettingsPerKernel: 10}})
+	samples, err := eng.BuildTrainingSet(context.Background(), adapt(bs))
 	if err != nil {
 		t.Fatal(err)
 	}

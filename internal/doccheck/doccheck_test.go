@@ -26,7 +26,6 @@ func TestGodocCoverage(t *testing.T) {
 		"../nvml",
 		"../pareto",
 		"../policy",
-		"../regress",
 		"../registry",
 		"../svm",
 		"../svm/svmtest",

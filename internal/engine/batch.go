@@ -1,24 +1,25 @@
 package engine
 
 import (
-	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/pareto"
 )
 
 // BatchScratch is the reusable working memory of the prediction paths: one
-// kernel's sweep output per model, and the per-kernel prediction segments
-// fronts are derived in. A scratch grows to the largest batch it has served
+// kernel's sweep output per model, that sweep as objective-space points the
+// front is derived in, and the per-kernel segments the fronts are written
+// to. A scratch grows to the largest batch it has served
 // and is then allocation-free for every batch that fits; the serving layer
 // recycles scratches through GetBatchScratch/PutBatchScratch so the
 // steady-state batch path allocates nothing (pinned by the engine's
 // AllocsPerRun test). A BatchScratch must not be used concurrently.
 type BatchScratch struct {
-	speedup []float64 // one kernel's speedup sweep
-	energy  []float64 // one kernel's energy sweep
+	speedup []float64      // one kernel's speedup sweep
+	energy  []float64      // one kernel's energy sweep
+	points  []pareto.Point // one kernel's modeled sweep, ID = config index
 	preds   []core.Prediction
 	fronts  [][]core.Prediction
 }
@@ -44,9 +45,11 @@ func (s *BatchScratch) ensure(nKernels, stride int) {
 	if cap(s.speedup) < stride {
 		s.speedup = make([]float64, stride)
 		s.energy = make([]float64, stride)
+		s.points = make([]pareto.Point, stride)
 	}
 	s.speedup = s.speedup[:stride]
 	s.energy = s.energy[:stride]
+	s.points = s.points[:stride]
 	n := nKernels * stride
 	if cap(s.preds) < n {
 		s.preds = make([]core.Prediction, n)
@@ -60,9 +63,10 @@ func (s *BatchScratch) ensure(nKernels, stride int) {
 
 // PredictFrontsInto predicts the Pareto set of every kernel in the batch:
 // each kernel's ladder sweep (the modeled configurations plus the mem-L
-// heuristic point) and an in-place front derivation in its segment of the
-// scratch. The result is index-aligned with sts and equal, values and
-// order, to calling ParetoSet per kernel.
+// heuristic point), its front by pareto.FrontInPlace over the scratch's
+// points, and only the front members written out as predictions in the
+// kernel's segment of the scratch. The result is index-aligned with sts and
+// equal, values and order, to calling ParetoSet per kernel.
 //
 // Every returned slice aliases the scratch: results are valid only until
 // the scratch is reused or returned to the pool. Once the scratch has
@@ -71,16 +75,20 @@ func (p *Predictor) PredictFrontsInto(s *BatchScratch, sts []features.Static) []
 	nCfg := len(p.cfgs)
 	stride := p.stride()
 	s.ensure(len(sts), stride)
+	pts := s.points[:nCfg]
 	for i := range sts {
 		p.ladder.into(s.speedup, s.energy, &sts[i])
-		seg := s.preds[i*stride : (i+1)*stride]
-		for j, cfg := range p.cfgs {
-			seg[j] = core.Prediction{Config: cfg, Speedup: s.speedup[j], NormEnergy: s.energy[j]}
+		for j := range pts {
+			pts[j] = pareto.Point{Speedup: s.speedup[j], Energy: s.energy[j], ID: j}
 		}
-		m := frontInPlace(seg[:nCfg])
+		m := pareto.FrontInPlace(pts)
+		seg := s.preds[i*stride : (i+1)*stride]
+		for k, pt := range pts[:m] {
+			seg[k] = core.Prediction{Config: p.cfgs[pt.ID], Speedup: pt.Speedup, NormEnergy: pt.Energy}
+		}
 		if p.hasMemL {
-			// The heuristic point rides after the modeled grid; move it to
-			// just past the compacted front, matching FrontOf's contract.
+			// The heuristic point rides after the modeled grid in the
+			// sweep; it goes just past the front, matching FrontOf.
 			seg[m] = core.Prediction{
 				Config:        p.memLCfg,
 				Speedup:       s.speedup[nCfg],
@@ -92,48 +100,4 @@ func (p *Predictor) PredictFrontsInto(s *BatchScratch, sts []features.Static) []
 		s.fronts[i] = seg[:m:stride]
 	}
 	return s.fronts
-}
-
-// frontInPlace compacts preds to its Pareto set (speedup maximized, energy
-// minimized) and returns the front length. It reproduces pareto.Fast's
-// semantics without allocating: sort descending by speedup (ascending
-// energy tie-break), keep each equal-speedup group's minimal-energy members
-// when they improve the running energy minimum (exact ties in both
-// objectives are all front members, per the paper's non-strict dominance),
-// then reverse into the ascending-speedup output order.
-func frontInPlace(preds []core.Prediction) int {
-	slices.SortFunc(preds, func(a, b core.Prediction) int {
-		switch {
-		case a.Speedup > b.Speedup:
-			return -1
-		case a.Speedup < b.Speedup:
-			return 1
-		case a.NormEnergy < b.NormEnergy:
-			return -1
-		case a.NormEnergy > b.NormEnergy:
-			return 1
-		}
-		return 0
-	})
-	bestE := math.Inf(1)
-	m := 0
-	i := 0
-	for i < len(preds) {
-		j := i
-		for j < len(preds) && preds[j].Speedup == preds[i].Speedup {
-			j++
-		}
-		if preds[i].NormEnergy < bestE {
-			bestE = preds[i].NormEnergy
-			for k := i; k < j && preds[k].NormEnergy == bestE; k++ {
-				preds[m] = preds[k]
-				m++
-			}
-		}
-		i = j
-	}
-	for a, b := 0, m-1; a < b; a, b = a+1, b-1 {
-		preds[a], preds[b] = preds[b], preds[a]
-	}
-	return m
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/freq"
+	"repro/internal/pareto"
 )
 
 // sortPreds normalizes a prediction set into a canonical order so fronts
@@ -107,7 +108,17 @@ func TestPredictFrontsIntoMatchesParetoSet(t *testing.T) {
 	}
 }
 
+// TestFrontInPlaceMatchesParetoFront checks FrontOf, the front of a grid by
+// pareto.FrontInPlace, against the paper's Algorithm 1 (pareto.Simple) on
+// the rule's edge cases. The P100 ladder has no mem-L point, so FrontOf
+// returns the front alone.
 func TestFrontInPlaceMatchesParetoFront(t *testing.T) {
+	e, kernels := testEngine(t, 4)
+	models, err := e.Train(context.Background(), kernels)
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	p := NewPredictor(models, freq.P100(), Options{})
 	cases := [][]core.Prediction{
 		{},
 		{{Speedup: 1, NormEnergy: 1}},
@@ -123,11 +134,17 @@ func TestFrontInPlaceMatchesParetoFront(t *testing.T) {
 		{{Speedup: 1, NormEnergy: 0.9}, {Speedup: 1, NormEnergy: 0.9}, {Speedup: 2, NormEnergy: 0.5}},
 	}
 	for ci, preds := range cases {
-		want := core.ParetoFront(preds)
-		got := append([]core.Prediction(nil), preds...)
-		m := frontInPlace(got)
-		if !reflect.DeepEqual(sortPreds(got[:m]), sortPreds(want)) {
-			t.Errorf("case %d: frontInPlace = %v, want %v", ci, got[:m], want)
+		pts := make([]pareto.Point, len(preds))
+		for i, pr := range preds {
+			pts[i] = pareto.Point{Speedup: pr.Speedup, Energy: pr.NormEnergy, ID: i}
+		}
+		var want []core.Prediction
+		for _, pt := range pareto.Simple(pts) {
+			want = append(want, preds[pt.ID])
+		}
+		got := p.FrontOf(features.Static{}, preds)
+		if !reflect.DeepEqual(sortPreds(got), sortPreds(want)) {
+			t.Errorf("case %d: FrontOf = %v, Algorithm 1 %v", ci, got, want)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package engine is the concurrent orchestration layer between the user
 // entry points (cmd/gpufreq, cmd/gpufreqd, the examples) and the
 // model/measurement internals (internal/core, internal/svm,
-// internal/measure). It owns the two things the batch pipeline in
-// internal/core deliberately keeps sequential:
+// internal/measure, internal/pareto). It is the one path for both phases
+// of the paper's pipeline:
 //
 //   - Training: the per-benchmark sampling unit (core.SampleKernel) is
 //     sharded across a worker pool, each worker measuring on an independent
@@ -10,10 +10,11 @@
 //     state — run concurrently. Construction is context-aware, so an
 //     in-flight training run can be cancelled.
 //   - Prediction: the Predictor is the paper's prediction phase, the one
-//     place models and static features become a Pareto set. Its ladder
-//     sweep is separable (svm.Sweep): the per-configuration half of every
-//     kernel evaluation is tabled once per predictor, so a kernel costs one
-//     exp per RBF support vector and runs on the calling goroutine; many
+//     place models and static features become a Pareto set, derived by
+//     the one front rule, pareto.FrontInPlace. Its ladder sweep is
+//     separable (svm.Sweep): the per-configuration half of every kernel
+//     evaluation is tabled once per predictor, so a kernel costs one exp
+//     per RBF support vector and runs on the calling goroutine; many
 //     kernels go through the columnar batch path (PredictFrontsInto, under
 //     PredictBatch). The engine caches no predictions: repeated kernels are
 //     served from the policy governor's per-kernel front memo (the

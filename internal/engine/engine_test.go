@@ -17,6 +17,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/freq"
 	"repro/internal/gpu"
+	"repro/internal/pareto"
 )
 
 // testEngine returns an engine over a reduced training setup that fits in
@@ -146,7 +147,7 @@ func TestParetoSetOverMatchesRowWiseOracle(t *testing.T) {
 		for _, cfg := range core.ExcludeMemL(ladder, cands) {
 			grid = append(grid, p.PredictConfig(st, cfg))
 		}
-		want := core.ParetoFront(grid)
+		want := paretoFront(grid)
 		memL, _ := core.MemLHeuristicConfig(ladder)
 		heur := p.PredictConfig(st, memL)
 		heur.MemLHeuristic = true
@@ -354,9 +355,25 @@ func benchFeatures() []features.Static {
 	return out
 }
 
+// paretoFront is the Pareto front of a row-wise grid by the one front rule
+// (pareto.FrontInPlace, itself checked against Algorithm 1 in package
+// pareto), ascending by speedup.
+func paretoFront(grid []core.Prediction) []core.Prediction {
+	pts := make([]pareto.Point, len(grid))
+	for i, g := range grid {
+		pts[i] = pareto.Point{Speedup: g.Speedup, Energy: g.NormEnergy, ID: i}
+	}
+	pts = pts[:pareto.FrontInPlace(pts)]
+	out := make([]core.Prediction, len(pts), len(pts)+1)
+	for i, pt := range pts {
+		out[i] = grid[pt.ID]
+	}
+	return out
+}
+
 // referenceParetoSet derives a kernel's Pareto set sequentially from direct
-// svm evaluations on features.Combine rows and the rules in core: the
-// oracle the engine's sweeps are checked against.
+// svm evaluations on features.Combine rows, the rules in core and the front
+// rule: the oracle the engine's sweeps are checked against.
 func referenceParetoSet(m *core.Models, ladder *freq.Ladder, st features.Static) []core.Prediction {
 	predict := func(cfg freq.Config) core.Prediction {
 		v := features.Combine(st, cfg).Slice()
@@ -366,7 +383,7 @@ func referenceParetoSet(m *core.Models, ladder *freq.Ladder, st features.Static)
 	for _, cfg := range core.ExcludeMemL(ladder, ladder.Configs()) {
 		grid = append(grid, predict(cfg))
 	}
-	out := core.ParetoFront(grid)
+	out := paretoFront(grid)
 	if cfg, ok := core.MemLHeuristicConfig(ladder); ok {
 		heur := predict(cfg)
 		heur.MemLHeuristic = true

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/freq"
+	"repro/internal/pareto"
 	"repro/internal/svm"
 )
 
@@ -122,10 +123,19 @@ func (p *Predictor) PredictAll(st features.Static) []core.Prediction {
 }
 
 // FrontOf derives a kernel's Pareto set from its predicted grid: the
-// Pareto front of grid, ascending by speedup, followed by the mem-L
-// heuristic configuration when the ladder has one. grid is not modified.
+// Pareto front of grid (pareto.FrontInPlace), ascending by speedup,
+// followed by the mem-L heuristic configuration when the ladder has one.
+// grid is not modified.
 func (p *Predictor) FrontOf(st features.Static, grid []core.Prediction) []core.Prediction {
-	out := core.ParetoFront(grid)
+	pts := make([]pareto.Point, len(grid))
+	for i, g := range grid {
+		pts[i] = pareto.Point{Speedup: g.Speedup, Energy: g.NormEnergy, ID: i}
+	}
+	pts = pts[:pareto.FrontInPlace(pts)]
+	out := make([]core.Prediction, len(pts), len(pts)+1)
+	for i, pt := range pts {
+		out[i] = grid[pt.ID]
+	}
 	if p.hasMemL {
 		var speedup, energy [1]float64
 		p.memL.into(speedup[:], energy[:], &st)

@@ -120,7 +120,7 @@ func BudgetEval(opts engine.Options) ([]BudgetEvalTable, error) {
 func BudgetEvalForDevice(dev *gpu.Device, opts engine.Options) (BudgetEvalTable, error) {
 	h := measure.NewHarness(nvml.NewDevice(dev))
 	eng := engine.New(h, opts)
-	if _, err := eng.Train(context.Background(), TrainingKernels()); err != nil {
+	if _, err := eng.Train(context.Background(), engine.TrainingKernels()); err != nil {
 		return BudgetEvalTable{}, fmt.Errorf("experiments: budget eval training on %s: %w", dev.Name, err)
 	}
 	pred, err := eng.Predictor()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // TestAdaptRecovery pins the drift-recovery acceptance criteria: the
@@ -14,7 +15,7 @@ import (
 // check, and the recovered error must land within 1.2× of the pre-shift
 // error.
 func TestAdaptRecovery(t *testing.T) {
-	s := NewSuiteWithOptions(core.Options{SettingsPerKernel: 8})
+	s := NewSuite(engine.NewDefault(engine.Options{Core: core.Options{SettingsPerKernel: 8}}))
 	rep, err := s.AdaptRecovery()
 	if err != nil {
 		t.Fatalf("AdaptRecovery: %v", err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/freq"
 )
 
@@ -21,7 +22,7 @@ var (
 func suite(t testing.TB) *Suite {
 	t.Helper()
 	fastOnce.Do(func() {
-		fastSuite = NewSuiteWithOptions(core.Options{SettingsPerKernel: 12})
+		fastSuite = NewSuite(engine.NewDefault(engine.Options{Core: core.Options{SettingsPerKernel: 12}}))
 	})
 	return fastSuite
 }
@@ -51,7 +52,7 @@ func TestProvenanceRecorded(t *testing.T) {
 	}
 
 	// A registry-labelled suite reports its version instead of in-memory.
-	s2 := NewSuiteWithEngine(s.Engine()) // reuses the trained engine
+	s2 := NewSuite(s.Engine()) // reuses the trained engine
 	s2.SetModelVersion("v0007")
 	prov2, err := s2.Provenance()
 	if err != nil {

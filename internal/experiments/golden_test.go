@@ -86,7 +86,7 @@ func TestGolden(t *testing.T) {
 func goldenReport(t *testing.T, dev *gpu.Device, settings int) []byte {
 	t.Helper()
 	eng := engine.New(measure.NewHarness(nvml.NewDevice(dev)), engine.Options{Core: core.Options{SettingsPerKernel: settings}})
-	models, err := eng.Train(context.Background(), TrainingKernels())
+	models, err := eng.Train(context.Background(), engine.TrainingKernels())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func goldenReport(t *testing.T, dev *gpu.Device, settings int) []byte {
 		t.Fatal(err)
 	}
 	man, err := store.SaveWithFronts("golden", "", models, registry.Training{},
-		registry.ComputeFronts(pred, TrainingKernels()))
+		registry.ComputeFronts(pred, engine.TrainingKernels()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,14 @@ func goldenReport(t *testing.T, dev *gpu.Device, settings int) []byte {
 		}
 		fmt.Fprintf(&b, "%s: %s\n", name, strings.Join(cfgs, " "))
 	}
-	for _, k := range TrainingKernels() {
+	for _, k := range engine.TrainingKernels() {
 		front("train/"+k.Name, pred.ParetoSet(k.Features))
 	}
 	for _, bm := range bench.All() {
 		front("test/"+bm.Name, pred.ParetoSet(bm.Features()))
 	}
 
-	s := NewSuiteWithEngine(eng)
+	s := NewSuite(eng)
 	sp, en, err := s.fig67()
 	if err != nil {
 		t.Fatal(err)

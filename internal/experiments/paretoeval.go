@@ -82,7 +82,7 @@ func (s *Suite) fig8One(pred *engine.Predictor, b *bench.Benchmark) (Fig8Data, e
 		byCfg[r.Config] = i
 		pts[i] = pareto.Point{Speedup: r.Speedup, Energy: r.NormEnergy, ID: i}
 	}
-	real := pareto.Fast(pts)
+	real := pts[:pareto.FrontInPlace(pts)]
 
 	set := pred.ParetoSetOver(b.Features(), sampled)
 	var predicted []pareto.Point

@@ -12,6 +12,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/measure"
 	"repro/internal/nvml"
+	"repro/internal/pareto"
 	"repro/internal/policy"
 )
 
@@ -77,7 +78,7 @@ func PolicyEval(opts engine.Options) ([]PolicyEvalTable, error) {
 // built-in policy across the twelve test benchmarks.
 func PolicyEvalForDevice(dev *gpu.Device, opts engine.Options) (PolicyEvalTable, error) {
 	eng := engine.New(measure.NewHarness(nvml.NewDevice(dev)), opts)
-	if _, err := eng.Train(context.Background(), TrainingKernels()); err != nil {
+	if _, err := eng.Train(context.Background(), engine.TrainingKernels()); err != nil {
 		return PolicyEvalTable{}, fmt.Errorf("experiments: policy eval training on %s: %w", dev.Name, err)
 	}
 	return policyEvalOn(eng)
@@ -108,31 +109,32 @@ func policyEvalOn(eng *engine.Engine) (PolicyEvalTable, error) {
 			return PolicyEvalTable{}, err
 		}
 		// Measure the sampled settings once per benchmark; the governor's
-		// choice is looked up here, and the oracle chooses over exactly
-		// this measured set.
+		// choice is looked up here, and the oracle chooses over the Pareto
+		// set of exactly this measured set.
 		measured := make(map[freq.Config]measure.Relative, len(sampled))
-		oracleSet := make([]core.Prediction, 0, len(sampled))
-		for _, cfg := range sampled {
+		pts := make([]pareto.Point, len(sampled))
+		for i, cfg := range sampled {
 			rel, err := h.MeasureRelative(b.Profile(), cfg, base)
 			if err != nil {
 				return PolicyEvalTable{}, err
 			}
 			measured[cfg] = rel
-			oracleSet = append(oracleSet, core.Prediction{
-				Config:     cfg,
-				Speedup:    rel.Speedup,
-				NormEnergy: rel.NormEnergy,
-			})
+			pts[i] = pareto.Point{Speedup: rel.Speedup, Energy: rel.NormEnergy, ID: i}
+		}
+		// Choose's contract takes a Pareto set; feeding it the raw sweep
+		// would skew the balanced policy's knee normalization with
+		// dominated points.
+		pts = pts[:pareto.FrontInPlace(pts)]
+		oracleSet := make([]core.Prediction, len(pts))
+		for i, pt := range pts {
+			oracleSet[i] = core.Prediction{Config: sampled[pt.ID], Speedup: pt.Speedup, NormEnergy: pt.Energy}
 		}
 		for _, spec := range specs {
 			d, err := gov.DecideOver(st, sampled, spec)
 			if err != nil {
 				return PolicyEvalTable{}, fmt.Errorf("experiments: %s/%s/%s: %w", dev.Name, b.Name, spec.Name, err)
 			}
-			// Choose's contract takes a Pareto set; feeding it the raw sweep
-			// would skew the balanced policy's knee normalization with
-			// dominated points.
-			oracle, err := policy.Choose(core.ParetoFront(oracleSet), spec)
+			oracle, err := policy.Choose(oracleSet, spec)
 			if err != nil {
 				return PolicyEvalTable{}, fmt.Errorf("experiments: %s/%s/%s oracle: %w", dev.Name, b.Name, spec.Name, err)
 			}

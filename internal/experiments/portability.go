@@ -42,7 +42,7 @@ func PortabilityP100(opts core.Options) (PortabilityResult, error) {
 	ladder := h.Device().Sim().Ladder
 
 	eng := engine.New(h, engine.Options{Core: opts})
-	if _, err := eng.Train(context.Background(), TrainingKernels()); err != nil {
+	if _, err := eng.Train(context.Background(), engine.TrainingKernels()); err != nil {
 		return PortabilityResult{}, fmt.Errorf("experiments: P100 training: %w", err)
 	}
 	pred, err := eng.Predictor()

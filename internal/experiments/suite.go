@@ -73,21 +73,10 @@ type Suite struct {
 	sweeps  map[string][]measure.Relative
 }
 
-// NewSuite builds a suite on a fresh simulated Titan X with the paper's
-// training options.
-func NewSuite() *Suite {
-	return NewSuiteWithOptions(core.Options{})
-}
-
-// NewSuiteWithOptions builds a suite with custom training options (used by
-// the ablation benchmarks and fast tests).
-func NewSuiteWithOptions(opts core.Options) *Suite {
-	return NewSuiteWithEngine(engine.NewDefault(engine.Options{Core: opts}))
-}
-
-// NewSuiteWithEngine builds a suite over an existing engine (used to control
-// worker counts or reuse an already trained engine).
-func NewSuiteWithEngine(e *engine.Engine) *Suite {
+// NewSuite builds a suite over an engine: a fresh one such as
+// engine.NewDefault trains on first use, and an already trained one is
+// reused as is.
+func NewSuite(e *engine.Engine) *Suite {
 	return &Suite{eng: e, sweeps: map[string][]measure.Relative{}}
 }
 
@@ -96,11 +85,6 @@ func (s *Suite) Harness() *measure.Harness { return s.eng.Harness() }
 
 // Engine exposes the suite's engine.
 func (s *Suite) Engine() *engine.Engine { return s.eng }
-
-// TrainingKernels adapts the 106 synthetic micro-benchmarks.
-func TrainingKernels() []core.TrainingKernel {
-	return engine.TrainingKernels()
-}
 
 // Models trains (once) the speedup and energy models on the full synthetic
 // training set via the engine's worker pool.

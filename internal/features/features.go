@@ -127,13 +127,3 @@ func Combine(s Static, cfg freq.Config) Vector {
 
 // Slice returns the vector as a []float64 (a copy).
 func (v Vector) Slice() []float64 { return append([]float64(nil), v[:]...) }
-
-// Distance returns the Euclidean distance between two vectors.
-func Distance(a, b Vector) float64 {
-	d := 0.0
-	for i := range a {
-		diff := a[i] - b[i]
-		d += diff * diff
-	}
-	return math.Sqrt(d)
-}

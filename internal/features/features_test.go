@@ -3,7 +3,6 @@ package features
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/clkernel"
 	"repro/internal/freq"
@@ -127,41 +126,6 @@ func TestCombine(t *testing.T) {
 	lo := Combine(s, freq.Config{Mem: 405, Core: 135})
 	if lo[StaticDim] != 0 || lo[StaticDim+1] != 0 {
 		t.Errorf("lowest config features = (%v, %v), want (0, 0)", lo[StaticDim], lo[StaticDim+1])
-	}
-}
-
-func TestDistance(t *testing.T) {
-	var a, b Vector
-	if Distance(a, b) != 0 {
-		t.Error("distance of identical vectors != 0")
-	}
-	b[0] = 3
-	b[1] = 4
-	if got := Distance(a, b); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Distance = %v, want 5", got)
-	}
-}
-
-func TestDistanceSymmetryProperty(t *testing.T) {
-	f := func(raw [2 * Dim]float64) bool {
-		var a, b Vector
-		copy(a[:], raw[:Dim])
-		copy(b[:], raw[Dim:])
-		for i := range a {
-			if math.IsNaN(a[i]) || math.IsInf(a[i], 0) ||
-				math.IsNaN(b[i]) || math.IsInf(b[i], 0) {
-				return true // skip pathological inputs
-			}
-			// quick may generate enormous floats whose squares overflow.
-			if math.Abs(a[i]) > 1e100 || math.Abs(b[i]) > 1e100 {
-				return true
-			}
-		}
-		d1, d2 := Distance(a, b), Distance(b, a)
-		return d1 == d2 && d1 >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -275,9 +275,9 @@ func TestFleetRetrainActivatesAndFansOut(t *testing.T) {
 	if !ok || st.Retrain.Retrains != 1 || st.Retrain.LastOutcome != adapt.OutcomeActivated {
 		t.Fatalf("fleet retrain state: %+v", st.Retrain)
 	}
-	active, ok := c.Store().Active("titanx")
-	if !ok || active != "v0002" {
-		t.Fatalf("active = %q (ok=%v), want v0002", active, ok)
+	active, ok := c.Store().ActiveState("titanx")
+	if !ok || active.Version != "v0002" {
+		t.Fatalf("active = %q (ok=%v), want v0002", active.Version, ok)
 	}
 	// The activation fan-out reached the agent.
 	if got := ag.serving.Version(); got != "v0002" {
@@ -330,8 +330,8 @@ func TestActivateFansOutStoredVersion(t *testing.T) {
 	if err := c.Activate(context.Background(), "titanx", man2.Version); err != nil {
 		t.Fatal(err)
 	}
-	if active, _ := c.Store().Active("titanx"); active != man2.Version {
-		t.Fatalf("active = %q, want %q", active, man2.Version)
+	if st, _ := c.Store().ActiveState("titanx"); st.Version != man2.Version {
+		t.Fatalf("active = %q, want %q", st.Version, man2.Version)
 	}
 	if got := ag.serving.Version(); got != man2.Version {
 		t.Fatalf("agent serves %q after Activate fan-out, want %q", got, man2.Version)

@@ -103,13 +103,6 @@ func (d *Device) DeviceGetApplicationsClocks() freq.Config {
 	return d.applied
 }
 
-// DeviceResetApplicationsClocks restores the default configuration.
-func (d *Device) DeviceResetApplicationsClocks() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.applied = d.sim.Ladder.Default()
-}
-
 // SetAutoBoostedClocksEnabled enables or disables auto-boost. The paper
 // disables it so that all measurements happen at manually-set clocks.
 func (d *Device) SetAutoBoostedClocksEnabled(on bool) {

@@ -77,18 +77,6 @@ func TestSetRejectsUnknown(t *testing.T) {
 	}
 }
 
-func TestResetApplicationsClocks(t *testing.T) {
-	d := newTitanX()
-	cores := d.Sim().Ladder.CoreClocks(810)
-	if err := d.DeviceSetApplicationsClocks(810, cores[0]); err != nil {
-		t.Fatal(err)
-	}
-	d.DeviceResetApplicationsClocks()
-	if got := d.DeviceGetApplicationsClocks(); got != d.Sim().Ladder.Default() {
-		t.Errorf("after reset applied = %v, want default", got)
-	}
-}
-
 func TestAutoBoostToggle(t *testing.T) {
 	d := newTitanX()
 	if !d.AutoBoostedClocksEnabled() {

@@ -1,13 +1,15 @@
 // Package pareto implements the multi-objective machinery of the paper
 // (Sections 3.4 and 4.5) for the bi-objective (speedup, normalized energy)
 // problem: Pareto dominance (maximize speedup, minimize energy), the paper's
-// simple Pareto-set algorithm (Algorithm 1) plus an O(n log n) sort-based
-// variant, the 2-D hypervolume indicator, the binary coverage-difference
-// metric D(P*, P') used in Table 2, and extreme-point distances.
+// simple Pareto-set algorithm (Algorithm 1) as the reference, the in-place
+// O(n log n) front rule every caller uses (FrontInPlace), the 2-D
+// hypervolume indicator, the binary coverage-difference metric D(P*, P')
+// used in Table 2, and extreme-point distances.
 package pareto
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -71,48 +73,51 @@ func Simple(points []Point) []Point {
 	return front
 }
 
-// Fast computes the same Pareto set in O(n log n): sort by speedup
-// descending (energy ascending as tie-break), then keep points whose energy
-// is a strict running minimum, handling equal-speedup groups correctly.
-func Fast(points []Point) []Point {
-	if len(points) == 0 {
-		return nil
-	}
-	ps := append([]Point(nil), points...)
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Speedup != ps[j].Speedup {
-			return ps[i].Speedup > ps[j].Speedup
+// FrontInPlace compacts ps to its Pareto set and returns the set's length
+// n: afterwards ps[:n] holds the front in ascending-speedup order and the
+// rest of ps is unspecified. It is the one front rule every caller uses,
+// and it returns the same set as Algorithm 1 (Simple) in O(n log n)
+// without allocating: sort descending by speedup (ascending energy breaks
+// ties), keep each equal-speedup group's minimal-energy members when they
+// improve on the running energy minimum, then reverse into ascending
+// order. Exact ties in both objectives are all front members, per the
+// paper's non-strict dominance. A caller that needs its input afterwards
+// passes a copy.
+func FrontInPlace(ps []Point) int {
+	slices.SortFunc(ps, func(a, b Point) int {
+		switch {
+		case a.Speedup > b.Speedup:
+			return -1
+		case a.Speedup < b.Speedup:
+			return 1
+		case a.Energy < b.Energy:
+			return -1
+		case a.Energy > b.Energy:
+			return 1
 		}
-		return ps[i].Energy < ps[j].Energy
+		return 0
 	})
-	var front []Point
 	bestE := math.Inf(1)
+	m := 0
 	i := 0
 	for i < len(ps) {
-		// Group of equal speedup: only its minimal-energy member can be
-		// non-dominated, and only if it improves on the running minimum.
 		j := i
 		for j < len(ps) && ps[j].Speedup == ps[i].Speedup {
 			j++
 		}
 		if ps[i].Energy < bestE {
-			front = append(front, ps[i])
 			bestE = ps[i].Energy
+			for k := i; k < j && ps[k].Energy == bestE; k++ {
+				ps[m] = ps[k]
+				m++
+			}
 		}
 		i = j
 	}
-	// Duplicate non-dominated points (exact ties in both objectives) are
-	// all members of the front per the paper's non-strict definition.
-	var out []Point
-	for _, f := range front {
-		for _, p := range points {
-			if p.Speedup == f.Speedup && p.Energy == f.Energy {
-				out = append(out, p)
-			}
-		}
+	for a, b := 0, m-1; a < b; a, b = a+1, b-1 {
+		ps[a], ps[b] = ps[b], ps[a]
 	}
-	sortFront(out)
-	return out
+	return m
 }
 
 func sortFront(front []Point) {
@@ -133,25 +138,21 @@ var RefPoint = Point{Speedup: 0, Energy: 2}
 // union of rectangles [0→s_i] × [e_i→e_ref]. Points outside the reference
 // box contribute only their clipped part.
 func Hypervolume(points []Point, ref Point) float64 {
-	front := Fast(points)
-	if len(front) == 0 {
-		return 0
-	}
+	front := slices.Clone(points)
+	front = front[:FrontInPlace(front)]
 	// Sweep from the highest-speedup point down. Along the front, energy
 	// strictly improves as speedup drops, so each point contributes the
 	// rectangle between the next point's speedup (or the reference) and
 	// its own speedup, at its own energy level.
-	desc := append([]Point(nil), front...)
-	sort.Slice(desc, func(i, j int) bool { return desc[i].Speedup > desc[j].Speedup })
 	hv := 0.0
-	for i := 0; i < len(desc); i++ {
-		p := desc[i]
+	for i := len(front) - 1; i >= 0; i-- {
+		p := front[i]
 		if p.Speedup <= ref.Speedup || p.Energy >= ref.Energy {
 			continue
 		}
 		nextS := ref.Speedup
-		if i+1 < len(desc) {
-			nextS = math.Max(desc[i+1].Speedup, ref.Speedup)
+		if i > 0 {
+			nextS = math.Max(front[i-1].Speedup, ref.Speedup)
 		}
 		if p.Speedup > nextS {
 			hv += (p.Speedup - nextS) * (ref.Energy - p.Energy)

@@ -1,6 +1,7 @@
 package pareto
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -61,7 +62,40 @@ func TestSimpleFront(t *testing.T) {
 	}
 }
 
-func TestFastMatchesSimpleProperty(t *testing.T) {
+// frontOf runs FrontInPlace on a copy of pts and returns the front.
+func frontOf(pts []Point) []Point {
+	c := append([]Point(nil), pts...)
+	return c[:FrontInPlace(c)]
+}
+
+// checkFront reports how got, FrontInPlace's output for pts, departs from
+// Algorithm 1: it must hold exactly the points Simple keeps (compared by
+// ID, so every member of an exact tie counts) and ascend by speedup.
+func checkFront(pts, got []Point) error {
+	want := Simple(pts)
+	ids := map[int]int{}
+	for _, p := range want {
+		ids[p.ID]++
+	}
+	for _, p := range got {
+		ids[p.ID]--
+	}
+	for id, n := range ids {
+		if n != 0 {
+			return fmt.Errorf("point %d: Simple keeps it %+d times more than FrontInPlace\n got %v\nwant %v", id, n, got, want)
+		}
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Speedup < got[i-1].Speedup {
+			return fmt.Errorf("front not ascending by speedup at %d: %v", i, got)
+		}
+	}
+	return nil
+}
+
+// TestFrontInPlaceMatchesSimpleProperty checks the front rule against the
+// paper's Algorithm 1 over arbitrary quick-generated points.
+func TestFrontInPlaceMatchesSimpleProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		var pts []Point
 		for i := 0; i+1 < len(raw); i += 2 {
@@ -76,21 +110,71 @@ func TestFastMatchesSimpleProperty(t *testing.T) {
 				ID:      i / 2,
 			})
 		}
-		a := frontSet(Simple(pts))
-		b := frontSet(Fast(pts))
-		if len(a) != len(b) {
-			return false
-		}
-		for k, v := range a {
-			if b[k] != v {
-				return false
-			}
-		}
-		return true
+		return checkFront(pts, frontOf(pts)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// tieCases are the front's edge cases, as (speedup, energy) pairs in
+// units of 1/8: each is a fuzz seed.
+var tieCases = [][][2]uint16{
+	{},
+	{{8, 8}},
+	// Strictly improving chain: everything is on the front.
+	{{8, 4}, {16, 6}, {24, 10}},
+	// A dominated middle point.
+	{{8, 4}, {7, 7}, {16, 8}},
+	// Equal-speedup group: only the minimal-energy member survives.
+	{{8, 6}, {8, 4}, {8, 5}},
+	// Exact duplicates in both objectives are all front members.
+	{{16, 4}, {16, 4}, {8, 7}},
+	// Duplicates that are dominated stay out.
+	{{8, 7}, {8, 7}, {16, 4}},
+	// A tie group on the front among improving points, out of order.
+	{{12, 6}, {4, 2}, {12, 6}, {20, 9}, {12, 6}, {12, 7}},
+}
+
+// fuzzPoints decodes fuzz input into finite points, four bytes each: a
+// 16-bit speedup and energy in units of 1/8192. A record whose first byte
+// is odd is snapped to the 1/8 grid, and one whose first two bytes are
+// both zero repeats the previous point, so exact ties and duplicates are
+// common.
+func fuzzPoints(data []byte) []Point {
+	var pts []Point
+	for i := 0; i+4 <= len(data); i += 4 {
+		s := uint16(data[i])<<8 | uint16(data[i+1])
+		e := uint16(data[i+2])<<8 | uint16(data[i+3])
+		p := Point{Speedup: float64(s) / 8192, Energy: float64(e) / 8192, ID: len(pts)}
+		switch {
+		case s == 0 && len(pts) > 0:
+			p.Speedup, p.Energy = pts[len(pts)-1].Speedup, pts[len(pts)-1].Energy
+		case data[i]&1 == 1:
+			p.Speedup, p.Energy = math.Round(p.Speedup*8)/8, math.Round(p.Energy*8)/8
+		}
+		pts = append(pts, p)
+	}
+	return pts
+}
+
+// FuzzFrontInPlace checks the one front rule against Algorithm 1: the same
+// set of points, every exact tie included, in ascending speedup order.
+func FuzzFrontInPlace(f *testing.F) {
+	for _, c := range tieCases {
+		var data []byte
+		for _, p := range c {
+			s, e := p[0]*1024, p[1]*1024 // 1/8 in units of 1/8192
+			data = append(data, byte(s>>8), byte(s), byte(e>>8), byte(e))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pts := fuzzPoints(data)
+		if err := checkFront(pts, frontOf(pts)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestFrontMembersNotMutuallyDominating(t *testing.T) {
@@ -102,7 +186,7 @@ func TestFrontMembersNotMutuallyDominating(t *testing.T) {
 				Energy:  math.Mod(math.Abs(raw[i+1]), 2.0),
 			})
 		}
-		front := Fast(pts)
+		front := frontOf(pts)
 		for i := range front {
 			for j := range front {
 				if i != j && Dominates(front[i], front[j]) {
@@ -139,12 +223,12 @@ func TestFrontEmptyAndSingle(t *testing.T) {
 	if got := Simple(nil); len(got) != 0 {
 		t.Errorf("Simple(nil) = %v", got)
 	}
-	if got := Fast(nil); len(got) != 0 {
-		t.Errorf("Fast(nil) = %v", got)
+	if got := FrontInPlace(nil); got != 0 {
+		t.Errorf("FrontInPlace(nil) = %d", got)
 	}
 	one := []Point{{Speedup: 1, Energy: 1, ID: 7}}
-	if got := Fast(one); len(got) != 1 || got[0].ID != 7 {
-		t.Errorf("Fast(single) = %v", got)
+	if got := frontOf(one); len(got) != 1 || got[0].ID != 7 {
+		t.Errorf("FrontInPlace(single) = %v", got)
 	}
 }
 
@@ -154,7 +238,7 @@ func TestDuplicatesKept(t *testing.T) {
 		{Speedup: 1, Energy: 1, ID: 1},
 		{Speedup: 0.5, Energy: 1.5, ID: 2},
 	}
-	for name, fn := range map[string]func([]Point) []Point{"Simple": Simple, "Fast": Fast} {
+	for name, fn := range map[string]func([]Point) []Point{"Simple": Simple, "FrontInPlace": frontOf} {
 		front := fn(pts)
 		if len(front) != 2 {
 			t.Errorf("%s kept %d points, want both duplicates", name, len(front))
@@ -322,7 +406,7 @@ func TestFrontSorted(t *testing.T) {
 		{Speedup: 0.8, Energy: 0.7},
 		{Speedup: 1.0, Energy: 1.0},
 	}
-	front := Fast(pts)
+	front := frontOf(pts)
 	if !sort.SliceIsSorted(front, func(i, j int) bool {
 		return front[i].Speedup < front[j].Speedup
 	}) {

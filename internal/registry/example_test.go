@@ -54,7 +54,7 @@ func ExampleStore() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("published %s, active=%v\n", man.Version, func() bool { v, ok := store.Active("titanx"); return ok && v == man.Version }())
+	fmt.Printf("published %s, active=%v\n", man.Version, func() bool { st, ok := store.ActiveState("titanx"); return ok && st.Version == man.Version }())
 	fmt.Printf("loaded %s, hash matches: %v, models intact: %v\n",
 		loadedMan.Version, loadedMan.Hash == man.Hash,
 		loaded.Speedup.NumSV() == models.Speedup.NumSV())

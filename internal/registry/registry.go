@@ -784,12 +784,6 @@ func (s *Store) activeStateLocked(device string) (ActiveState, bool) {
 	return af, true
 }
 
-// Active returns the device's active version id, if any version is active.
-func (s *Store) Active(device string) (string, bool) {
-	st, ok := s.ActiveState(device)
-	return st.Version, ok
-}
-
 // Activate points the device's ACTIVE pointer at the given version,
 // recording the outgoing version as "previous" for Rollback. The version
 // must exist and pass the integrity check. The pointer write is atomic.

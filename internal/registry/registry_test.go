@@ -140,7 +140,7 @@ func TestActivateRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := store.Active("titanx"); ok {
+	if _, ok := store.ActiveState("titanx"); ok {
 		t.Fatal("device active before any Activate")
 	}
 	if err := store.Activate("titanx", "v0001"); err != nil {
@@ -149,8 +149,8 @@ func TestActivateRollback(t *testing.T) {
 	if err := store.Activate("titanx", "v0002"); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := store.Active("titanx"); v != "v0002" {
-		t.Fatalf("active = %s, want v0002", v)
+	if st, _ := store.ActiveState("titanx"); st.Version != "v0002" {
+		t.Fatalf("active = %s, want v0002", st.Version)
 	}
 
 	// Rollback state must survive a process restart (fresh Store), and
@@ -164,8 +164,8 @@ func TestActivateRollback(t *testing.T) {
 	if err := store2.Activate("titanx", prev); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := store2.Active("titanx"); v != "v0001" {
-		t.Fatalf("rollback activated %q, want v0001", v)
+	if st, _ := store2.ActiveState("titanx"); st.Version != "v0001" {
+		t.Fatalf("rollback activated %q, want v0001", st.Version)
 	}
 	if prev, ok = store2.Previous("titanx"); !ok || prev != "v0002" {
 		t.Fatalf("previous after rollback = %q, %v; want v0002", prev, ok)
@@ -173,8 +173,8 @@ func TestActivateRollback(t *testing.T) {
 	if err := store2.Activate("titanx", prev); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := store2.Active("titanx"); v != "v0002" {
-		t.Fatalf("second rollback activated %q, want v0002", v)
+	if st, _ := store2.ActiveState("titanx"); st.Version != "v0002" {
+		t.Fatalf("second rollback activated %q, want v0002", st.Version)
 	}
 
 	// No history: nothing to roll back to.
@@ -321,8 +321,8 @@ func TestKillDuringSnapshotLeavesPreviousLoadable(t *testing.T) {
 	if len(entries) != 1 || entries[0].Version != man.Version || entries[0].Err != "" {
 		t.Fatalf("crash artifact leaked into the listing: %+v", entries)
 	}
-	if v, ok := store2.Active("titanx"); !ok || v != man.Version {
-		t.Fatalf("active pointer lost: %q, %v", v, ok)
+	if st, ok := store2.ActiveState("titanx"); !ok || st.Version != man.Version {
+		t.Fatalf("active pointer lost: %q, %v", st.Version, ok)
 	}
 	if _, _, err := store2.Load("titanx", ""); err != nil {
 		t.Fatalf("previous version not loadable after simulated crash: %v", err)

@@ -1,5 +1,10 @@
 package svm
 
+import (
+	"fmt"
+	"math"
+)
+
 // Test-only exports: the external property-test package (svm_test) applies
 // the svmtest KKT checker to every model class this suite trains, including
 // the preserved reference solver — which internal test files cannot do
@@ -34,6 +39,25 @@ func (Dot) Eval(a, b []float64) float64 { return Linear{}.Eval(a, b) }
 
 // String names the kernel.
 func (Dot) String() string { return "dot" }
+
+// Polynomial is the polynomial kernel K(a,b) = (γ a·b + c)^d. No program
+// trains it, so it lives here: it gives the SMO tests a nonlinear kernel
+// that reaches SMO through genericRows, as any user-supplied kernel does.
+type Polynomial struct {
+	Gamma  float64
+	Coef0  float64
+	Degree int
+}
+
+// Eval returns (γ a·b + c)^d.
+func (k Polynomial) Eval(a, b []float64) float64 {
+	return math.Pow(k.Gamma*Linear{}.Eval(a, b)+k.Coef0, float64(k.Degree))
+}
+
+// String names the kernel and its parameters.
+func (k Polynomial) String() string {
+	return fmt.Sprintf("poly(gamma=%g, coef0=%g, degree=%d)", k.Gamma, k.Coef0, k.Degree)
+}
 
 // LinearDuals runs the linear interior-point fit and returns its dual
 // solution before it is folded into w: a model over the training rows with

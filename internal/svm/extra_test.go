@@ -13,7 +13,7 @@ func TestPolyKernelFitsQuadratic(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, 2*x*x-x+0.5)
 	}
-	m, err := Train(xs, ys, Poly{Gamma: 1, Coef0: 1, Degree: 2}, Params{C: 1000, Epsilon: 0.02})
+	m, err := Train(xs, ys, Polynomial{Gamma: 1, Coef0: 1, Degree: 2}, Params{C: 1000, Epsilon: 0.02})
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}

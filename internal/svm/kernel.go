@@ -1,8 +1,8 @@
 // Package svm implements ε-support-vector regression with the linear and
 // RBF kernels the paper selects for its speedup and normalized-energy
-// models (Section 3.4), plus a polynomial kernel for ablations. Linear fits
-// are solved exactly in the primal by an interior-point method; every other
-// kernel is trained by a LIBSVM-style SMO solver on the dual. Stdlib only.
+// models (Section 3.4). Linear fits are solved exactly in the primal by an
+// interior-point method; every other kernel, RBF or any user-supplied
+// Kernel, is trained by a LIBSVM-style SMO solver on the dual. Stdlib only.
 package svm
 
 import (
@@ -53,27 +53,6 @@ func (k RBF) Eval(a, b []float64) float64 {
 // String names the kernel and its bandwidth in logs and reports.
 func (k RBF) String() string { return fmt.Sprintf("rbf(gamma=%g)", k.Gamma) }
 
-// Poly is the polynomial kernel K(a,b) = (γ a·b + c)^d.
-type Poly struct {
-	Gamma  float64
-	Coef0  float64
-	Degree int
-}
-
-// Eval returns (γ a·b + c)^d.
-func (k Poly) Eval(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return math.Pow(k.Gamma*s+k.Coef0, float64(k.Degree))
-}
-
-// String names the kernel and its parameters in logs and reports.
-func (k Poly) String() string {
-	return fmt.Sprintf("poly(gamma=%g, coef0=%g, degree=%d)", k.Gamma, k.Coef0, k.Degree)
-}
-
 // rowKernel computes whole kernel-matrix rows over a flat design matrix.
 // The solver's row fills go through these specializations instead of
 // per-element Kernel.Eval interface dispatch: each row is one tight loop
@@ -90,8 +69,6 @@ func rowKernelFor(k Kernel) rowKernel {
 	switch k := k.(type) {
 	case RBF:
 		return rbfRows{gamma: k.Gamma}
-	case Poly:
-		return polyRows{k}
 	default:
 		return genericRows{k}
 	}
@@ -117,21 +94,6 @@ func (r rbfRows) fillRow(d *designMatrix, i, lo, hi int, dst []float64) {
 			q += diff * diff
 		}
 		dst[j] = math.Exp(-r.gamma * q)
-	}
-}
-
-type polyRows struct{ k Poly }
-
-func (p polyRows) fillRow(d *designMatrix, i, lo, hi int, dst []float64) {
-	xi := d.row(i)
-	deg := float64(p.k.Degree)
-	for j := lo; j < hi; j++ {
-		xj := d.row(j)
-		s := 0.0
-		for t, v := range xi {
-			s += v * xj[t]
-		}
-		dst[j] = math.Pow(p.k.Gamma*s+p.k.Coef0, deg)
 	}
 }
 

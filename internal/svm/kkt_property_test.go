@@ -64,7 +64,7 @@ func propSets() []propSet {
 	return []propSet{
 		{"linear", linXs, linYs, svm.Dot{}, pp},
 		{"rbf", rbfXs, rbfYs, svm.RBF{Gamma: 2}, pp},
-		{"poly", polyXs, polyYs, svm.Poly{Gamma: 1, Coef0: 1, Degree: 2}, pp},
+		{"poly", polyXs, polyYs, svm.Polynomial{Gamma: 1, Coef0: 1, Degree: 2}, pp},
 	}
 }
 

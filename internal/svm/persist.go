@@ -4,16 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // modelJSON is the serialized form of a Model.
 type modelJSON struct {
 	Kernel struct {
-		Type   string  `json:"type"`
-		Gamma  float64 `json:"gamma,omitempty"`
-		Coef0  float64 `json:"coef0,omitempty"`
-		Degree int     `json:"degree,omitempty"`
+		Type  string  `json:"type"`
+		Gamma float64 `json:"gamma,omitempty"`
 	} `json:"kernel"`
 	SupportVectors [][]float64 `json:"support_vectors"`
 	Coefs          []float64   `json:"coefs"`
@@ -29,11 +26,6 @@ func (m *Model) Save(w io.Writer) error {
 	case RBF:
 		mj.Kernel.Type = "rbf"
 		mj.Kernel.Gamma = k.Gamma
-	case Poly:
-		mj.Kernel.Type = "poly"
-		mj.Kernel.Gamma = k.Gamma
-		mj.Kernel.Coef0 = k.Coef0
-		mj.Kernel.Degree = k.Degree
 	default:
 		return fmt.Errorf("svm: cannot serialize kernel %T", m.kernel)
 	}
@@ -74,34 +66,9 @@ func Load(r io.Reader) (*Model, error) {
 		m.kernel = Linear{}
 	case "rbf":
 		m.kernel = RBF{Gamma: mj.Kernel.Gamma}
-	case "poly":
-		m.kernel = Poly{Gamma: mj.Kernel.Gamma, Coef0: mj.Kernel.Coef0, Degree: mj.Kernel.Degree}
 	default:
 		return nil, fmt.Errorf("svm: unknown kernel type %q", mj.Kernel.Type)
 	}
 	m.finalize()
 	return m, nil
-}
-
-// SaveFile writes the model to a file path.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a model from a file path.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

@@ -60,7 +60,7 @@ func TestSolverMatchesReference(t *testing.T) {
 		}
 		sets = append(sets, dataset{"rbf", RBF{Gamma: 2}, paperParams, xs, ys})
 	}
-	// Polynomial (exercises the specialized poly rows).
+	// A nonlinear kernel outside the built-ins (exercises genericRows).
 	{
 		var xs [][]float64
 		var ys []float64
@@ -69,7 +69,7 @@ func TestSolverMatchesReference(t *testing.T) {
 			xs = append(xs, []float64{x})
 			ys = append(ys, 2*x*x-x+0.5)
 		}
-		sets = append(sets, dataset{"poly", Poly{Gamma: 1, Coef0: 1, Degree: 2},
+		sets = append(sets, dataset{"poly", Polynomial{Gamma: 1, Coef0: 1, Degree: 2},
 			Params{C: 1000, Epsilon: 0.02}, xs, ys})
 	}
 	// A capped run: the unconverged path must also match.
@@ -259,7 +259,7 @@ func TestRowKernelsMatchEval(t *testing.T) {
 		xs = append(xs, []float64{r.next(), r.next(), r.next()})
 	}
 	d := newDesignMatrix(xs)
-	for _, k := range []Kernel{Linear{}, RBF{Gamma: 0.7}, Poly{Gamma: 1, Coef0: 1, Degree: 3}} {
+	for _, k := range []Kernel{Linear{}, RBF{Gamma: 0.7}, Polynomial{Gamma: 1, Coef0: 1, Degree: 3}} {
 		rk := rowKernelFor(k)
 		dst := make([]float64, len(xs))
 		for i := range xs {
@@ -285,7 +285,7 @@ func TestFlattenedSupportVectorsRoundTrip(t *testing.T) {
 		xs = append(xs, []float64{a, b})
 		ys = append(ys, math.Sin(2*a)-b)
 	}
-	for _, k := range []Kernel{Linear{}, RBF{Gamma: 1.5}, Poly{Gamma: 1, Coef0: 1, Degree: 2}} {
+	for _, k := range []Kernel{Linear{}, RBF{Gamma: 1.5}} {
 		m, err := Train(xs, ys, k, paperParams)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)

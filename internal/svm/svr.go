@@ -116,9 +116,6 @@ func (m *Model) sv(i int) []float64 {
 	return m.svFlat[i*m.svDim : (i+1)*m.svDim : (i+1)*m.svDim]
 }
 
-// Kernel returns the kernel the model was trained with.
-func (m *Model) Kernel() Kernel { return m.kernel }
-
 // Predict evaluates the regression function at x. It allocates nothing.
 func (m *Model) Predict(x []float64) float64 {
 	if m.linWeights != nil {

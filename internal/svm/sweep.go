@@ -20,7 +20,7 @@ import (
 //     for every (support vector, tail) pair when the sweep is built, so a
 //     sweep costs one exp per support vector instead of one per
 //     (support vector, tail) pair.
-//   - Any other Kernel, Poly included: Predict on the concatenated row.
+//   - Any other Kernel: Predict on the concatenated row.
 //
 // A Sweep is immutable once built and safe for concurrent use. It matches
 // Predict on the concatenated row up to floating-point rounding.

@@ -36,7 +36,7 @@ func randRows(d *det, n, dim int) [][]float64 {
 // concatenated row for every kernel family and every split point, on
 // seeded random heads and tails: within 1e-12 absolute, and bit-identical
 // for the linear kernel, whose sweep sums Predict's terms in Predict's
-// order. Poly and laplace take the concatenated-row fallback.
+// order. Polynomial and laplace take the concatenated-row fallback.
 func TestSweepMatchesPredict(t *testing.T) {
 	const dim = 6
 	d := &det{s: 25}
@@ -45,7 +45,7 @@ func TestSweepMatchesPredict(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = math.Sin(3*x[0]) + x[1]*x[2] - 2*x[3] + 0.5*x[4]*x[4] + x[5]
 	}
-	for _, k := range []Kernel{Linear{}, RBF{Gamma: 0.7}, Poly{Gamma: 0.5, Coef0: 1, Degree: 3}, laplace{gamma: 0.9}} {
+	for _, k := range []Kernel{Linear{}, RBF{Gamma: 0.7}, Polynomial{Gamma: 0.5, Coef0: 1, Degree: 3}, laplace{gamma: 0.9}} {
 		m, err := Train(xs, ys, k, Params{C: 100, Epsilon: 0.01})
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)

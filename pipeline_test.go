@@ -5,13 +5,13 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/gpu"
 	"repro/internal/measure"
 	"repro/internal/nvml"
@@ -20,17 +20,17 @@ import (
 
 func TestEndToEndPipeline(t *testing.T) {
 	h := measure.NewHarness(nvml.NewDevice(gpu.TitanX()))
-	opts := core.Options{SettingsPerKernel: 10}
+	eng := engine.New(h, engine.Options{Core: core.Options{SettingsPerKernel: 10}})
 
 	// Training phase (Fig. 2).
-	samples, err := core.BuildTrainingSet(h, experiments.TrainingKernels(), opts)
+	samples, err := eng.BuildTrainingSet(context.Background(), engine.TrainingKernels())
 	if err != nil {
 		t.Fatalf("training set: %v", err)
 	}
 	if len(samples) < 106*8 {
 		t.Fatalf("only %d samples", len(samples))
 	}
-	models, err := core.Train(samples, opts)
+	models, err := eng.Fit(context.Background(), samples)
 	if err != nil {
 		t.Fatalf("train: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	for _, r := range sweep {
 		all = append(all, pareto.Point{Speedup: r.Speedup, Energy: r.NormEnergy})
 	}
-	d := pareto.CoverageDifference(pareto.Fast(all), pts)
+	d := pareto.CoverageDifference(all[:pareto.FrontInPlace(all)], pts)
 	if d > 0.15 {
 		t.Errorf("coverage difference %.4f too large for end-to-end pipeline", d)
 	}
@@ -115,7 +115,7 @@ func TestDefaultConfigurationNotAlwaysOptimal(t *testing.T) {
 			}
 			pts = append(pts, p)
 		}
-		for _, p := range pareto.Fast(pts) {
+		for _, p := range pts[:pareto.FrontInPlace(pts)] {
 			if pareto.Dominates(p, defPt) {
 				dominatedSomewhere = true
 			}
