@@ -47,7 +47,8 @@ type ErrorReport struct {
 	Objective string
 	// Model records which model version produced the table.
 	Model Provenance
-	// Mems holds the memory clocks in figure order (H, h, l, L).
+	// Mems holds the device's memory clocks in ladder order, highest first
+	// (H, h, l, L on the Titan X; the P100 has one).
 	Mems []freq.MHz
 	// RMSE maps memory clock to the root-mean-square error in percentage
 	// points over all benchmarks and sampled configurations.
@@ -95,13 +96,15 @@ func addErr(m map[freq.MHz]map[string][]float64, mem freq.MHz, name string, e fl
 	m[mem][name] = append(m[mem][name], e)
 }
 
-func buildReport(objective string, errs map[freq.MHz]map[string][]float64) ErrorReport {
+// buildReport summarizes the errors per memory clock of mems, the device
+// ladder's clocks in figure order.
+func buildReport(objective string, mems []freq.MHz, errs map[freq.MHz]map[string][]float64) ErrorReport {
 	rep := ErrorReport{
 		Objective:    objective,
 		RMSE:         map[freq.MHz]float64{},
 		PerBenchmark: map[freq.MHz]map[string]BoxStats{},
 	}
-	for _, m := range []freq.MHz{freq.MemH, freq.Memh, freq.Meml, freq.MemL} {
+	for _, m := range mems {
 		if errs[m] == nil {
 			continue
 		}
@@ -130,7 +133,8 @@ func (s *Suite) fig67() (speedup, energy ErrorReport, err error) {
 	if err != nil {
 		return ErrorReport{}, ErrorReport{}, err
 	}
-	sp, en := buildReport("speedup", se), buildReport("energy", ee)
+	mems := s.Harness().Device().Sim().Ladder.MemClocks()
+	sp, en := buildReport("speedup", mems, se), buildReport("energy", mems, ee)
 	sp.Model, en.Model = prov, prov
 	return sp, en, nil
 }
